@@ -47,3 +47,7 @@ class FormatError(GasaUNetError):
 
 class VersionMismatch(GasaUNetError):
     """Checkpoint magic or version is not supported."""
+
+
+class NonFiniteLoss(GasaUNetError):
+    """The training loss became NaN or infinite."""

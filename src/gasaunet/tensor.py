@@ -98,7 +98,8 @@ class Tensor:
     """Float64 array plus gradient bookkeeping.
 
     grad is allocated lazily on first accumulation. Intermediate tensors keep
-    references to their parents and a backward closure; leaves keep neither.
+    references to their parents and a backward closure until backward()
+    consumes them; leaves keep neither.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -143,7 +144,11 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
-        Repeated calls without zero_grad accumulate into leaf gradients.
+        Repeated calls without zero_grad accumulate into leaf gradients. The
+        sweep consumes the graph: each node drops its closure and parents
+        once it has run, which breaks the node -> closure -> node cycle so
+        the step's buffers are freed by reference counting, not left for the
+        cyclic collector. A second sweep needs a fresh forward pass.
         """
         if self.data.size != 1:
             raise NotScalar(f"backward() root must be scalar, got shape {self.shape}")
@@ -166,6 +171,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -582,6 +589,106 @@ def _conv3d_geometry(x_shape, w_shape, stride, padding):
     return (cout, ow, oh, od), (sw, sh, sd), (pw, ph, pd)
 
 
+# Columns per block of the shifted-slice loops. At 32^3 a block's input
+# slices and partial sums then stay in L2 across the kernel offsets (1.5x
+# faster than whole rows); much smaller blocks lose to per-call overhead.
+_CONV_BLOCK = 4096
+
+
+def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
+    """Stride-1 convolution as one matmul per kernel offset, with no column buffer.
+
+    The padded input is flattened to [Cin, N]. The output voxel at flat index
+    p of the padded grid is sum_k W_k @ xp[:, p + off_k], with
+    off_k = a*Hp*Dp + b*Dp + c, so each offset reads the contiguous slice
+    xp[:, off_k : off_k + L]. Outputs computed at pad positions of H and D
+    are garbage and are cropped; the trailing zeros let the last slices fit.
+    The loops run over blocks of about _CONV_BLOCK columns.
+    """
+    cin, w_, h_, d_ = xd.shape
+    cout, _, kw, kh, kd = wd.shape
+    _, ow, oh, od = out_shape
+    pw, ph, pd = padding
+    hp, dp = h_ + 2 * ph, d_ + 2 * pd
+    plane = hp * dp
+    n_grid = (w_ + 2 * pw) * plane
+    span = ow * plane
+    offsets = [a * plane + bb * dp + c for a in range(kw) for bb in range(kh) for c in range(kd)]
+    cropped = (oh, od) != (hp, dp)
+    if cropped or pw or ph or pd:
+        xf = np.zeros((cin, n_grid + (kh - 1) * dp + kd - 1))
+        xf[:, :n_grid].reshape(cin, -1, hp, dp)[:, pw : pw + w_, ph : ph + h_, pd : pd + d_] = xd
+    else:
+        xf = xd.reshape(cin, n_grid)
+    wk = wd.reshape(cout, cin, -1).transpose(2, 0, 1).copy()  # [K, Cout, Cin]
+
+    n_blocks = max(1, round(span / _CONV_BLOCK))
+    blocks = [(span * i // n_blocks, span * (i + 1) // n_blocks) for i in range(n_blocks)]
+    acc = np.zeros((cout, span))
+    for lo, hi in blocks:
+        out_block = acc[:, lo:hi]
+        for k, off in enumerate(offsets):
+            out_block += wk[k] @ xf[:, off + lo : off + hi]
+    out_data = acc.reshape(cout, ow, hp, dp)[:, :, :oh, :od]
+
+    def grads(g_out: Array, need_x: bool, need_w: bool):
+        if cropped:
+            g = np.zeros((cout, ow, hp, dp))
+            g[:, :, :oh, :od] = g_out
+            g = g.reshape(cout, span)
+        else:
+            g = g_out.reshape(cout, span)
+        dw = dx = None
+        if need_w:
+            dwk = np.zeros_like(wk)
+            for lo, hi in blocks:
+                for k, off in enumerate(offsets):
+                    dwk[k] += g[:, lo:hi] @ xf[:, off + lo : off + hi].T
+            dw = dwk.transpose(1, 2, 0).reshape(wd.shape)
+        if need_x:
+            dxf = np.zeros_like(xf)
+            for lo, hi in blocks:
+                for k, off in enumerate(offsets):
+                    dxf[:, off + lo : off + hi] += wk[k].T @ g[:, lo:hi]
+            dx = dxf[:, :n_grid].reshape(cin, -1, hp, dp)[:, pw : pw + w_, ph : ph + h_, pd : pd + d_]
+        return dx, dw
+
+    return out_data, grads
+
+
+def _conv3d_gather(xd: Array, wd: Array, stride, padding, out_shape):
+    """Any-stride convolution as im2col + one matmul; col2im in backward."""
+    cin = xd.shape[0]
+    cout, _, kw, kh, kd = wd.shape
+    _, ow, oh, od = out_shape
+    sw, sh, sd = stride
+    pw, ph, pd = padding
+    xp = np.pad(xd, ((0, 0), (pw, pw), (ph, ph), (pd, pd))) if pw or ph or pd else xd
+    along_w = [slice(a, a + sw * ow, sw) for a in range(kw)]
+    along_h = [slice(a, a + sh * oh, sh) for a in range(kh)]
+    along_d = [slice(a, a + sd * od, sd) for a in range(kd)]
+    windows = [(slice(None), i, j, k) for i in along_w for j in along_h for k in along_d]
+    cols = np.empty((cin, len(windows), ow, oh, od))
+    for k, win in enumerate(windows):
+        cols[:, k] = xp[win]
+    cols_2d = cols.reshape(-1, ow * oh * od)
+    out_data = (wd.reshape(cout, -1) @ cols_2d).reshape(out_shape)
+
+    def grads(g_out: Array, need_x: bool, need_w: bool):
+        g2d = g_out.reshape(cout, -1)
+        dw = (g2d @ cols_2d.T).reshape(wd.shape) if need_w else None
+        dx = None
+        if need_x:
+            dcols = (wd.reshape(cout, -1).T @ g2d).reshape(cols.shape)
+            dxp = np.zeros_like(xp)
+            for k, win in enumerate(windows):
+                dxp[win] += dcols[:, k]
+            dx = dxp[:, pw : pw + xd.shape[1], ph : ph + xd.shape[2], pd : pd + xd.shape[3]]
+        return dx, dw
+
+    return out_data, grads
+
+
 def conv3d(
     x: Tensor,
     w: Tensor,
@@ -591,8 +698,18 @@ def conv3d(
 ) -> Tensor:
     """3-d cross-correlation of [Cin,W,H,D] with [Cout,Cin,kw,kh,kd] plus bias.
 
-    Implemented as im2col + one matmul; the column buffer is kept alive for
-    the backward pass. No implicit padding: `padding` is explicit, default 0.
+    No implicit padding: `padding` is explicit, default 0.
+
+    Stride-1 convolutions run one matmul per kernel offset over shifted
+    slices of the flattened padded input (`_conv3d_shifted`): no column
+    buffer is built, only the padded input is kept for the backward pass,
+    and a 1x1x1 kernel is a single matmul. The path is picked from the
+    shapes alone; im2col (`_conv3d_gather`) is faster, as measured, when
+    - the stride is not 1: stride 1 then subsampling wastes most products;
+    - Cin < Cout, as in the Cin=1 stem: each offset is then a thin product
+      whose [Cout, L] accumulation costs more than gathering the columns;
+    - fewer than half of the computed columns survive the crop, as for
+      kernels that span a whole plane (the GASA projections).
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"conv3d input must be [Cin,W,H,D], got {x.shape}")
@@ -600,52 +717,24 @@ def conv3d(
         raise ShapeMismatch(f"conv3d kernel must be [Cout,Cin,kw,kh,kd], got {w.shape}")
     out_shape, stride, padding = _conv3d_geometry(x.shape, w.shape, stride, padding)
     cout, ow, oh, od = out_shape
-    cin = x.shape[0]
-    _, _, kw, kh, kd = w.shape
-    sw, sh, sd = stride
-    pw, ph, pd = padding
     if b.shape != (cout,):
         raise ShapeMismatch(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
-    if pw or ph or pd:
-        xp = np.pad(x.data, ((0, 0), (pw, pw), (ph, ph), (pd, pd)))
+    computed = ow * (x.shape[2] + 2 * padding[1]) * (x.shape[3] + 2 * padding[2])
+    if stride == (1, 1, 1) and x.shape[0] >= cout and 2 * ow * oh * od >= computed:
+        out_data, grads = _conv3d_shifted(x.data, w.data, padding, out_shape)
     else:
-        xp = x.data
-    cols = np.empty((cin, kw, kh, kd, ow, oh, od), dtype=np.float64)
-    for a in range(kw):
-        for bb in range(kh):
-            for c in range(kd):
-                cols[:, a, bb, c] = xp[
-                    :,
-                    a : a + sw * ow : sw,
-                    bb : bb + sh * oh : sh,
-                    c : c + sd * od : sd,
-                ]
-    cols_2d = cols.reshape(cin * kw * kh * kd, ow * oh * od)
-    out_data = (w.data.reshape(cout, -1) @ cols_2d) + b.data[:, None]
-    out_data = out_data.reshape(cout, ow, oh, od)
+        out_data, grads = _conv3d_gather(x.data, w.data, stride, padding, out_shape)
+    out_data = out_data + b.data[:, None, None, None]
 
     def bw():
-        g2d = out.grad.reshape(cout, -1)
+        dx, dw = grads(out.grad, x.requires_grad, w.requires_grad)
         if w.requires_grad:
-            w.accumulate_grad((g2d @ cols_2d.T).reshape(w.shape))
+            w.accumulate_grad(dw)
         if b.requires_grad:
-            b.accumulate_grad(g2d.sum(axis=1))
+            b.accumulate_grad(out.grad.sum(axis=(1, 2, 3)))
         if x.requires_grad:
-            dcols = (w.data.reshape(cout, -1).T @ g2d).reshape(cols.shape)
-            dxp = np.zeros_like(xp)
-            for a in range(kw):
-                for bb in range(kh):
-                    for c in range(kd):
-                        dxp[
-                            :,
-                            a : a + sw * ow : sw,
-                            bb : bb + sh * oh : sh,
-                            c : c + sd * od : sd,
-                        ] += dcols[:, a, bb, c]
-            if pw or ph or pd:
-                dxp = dxp[:, pw : pw + x.shape[1], ph : ph + x.shape[2], pd : pd + x.shape[3]]
-            x.accumulate_grad(dxp)
+            x.accumulate_grad(dx)
 
     out = _node(out_data, (x, w, b), bw)
     return out

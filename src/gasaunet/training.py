@@ -10,6 +10,7 @@ continues the exact trajectory of an unbroken one.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneConfig, GasaUNet, build_model
-from .errors import InvalidEpoch, ShapeMismatch, VersionMismatch
+from .errors import InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
 from .gasa import GasaConfig
 from .losses import soft_dice_ce_loss
 from .phantom import load_manifest
@@ -156,6 +157,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; a truncated payload or a non-finite tensor raises
+    VersionMismatch naming the file and the tensor."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise VersionMismatch(f"{path}: bad checkpoint magic")
@@ -171,11 +174,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     momentum: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
+        name = entry["name"]
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * n > len(payload):
+            raise VersionMismatch(
+                f"{path}: tensor {name} needs payload bytes [{start}, {start + 8 * n}), "
+                f"file has {len(payload)} (truncated?)"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=start).reshape(shape).copy()
-        name = entry["name"]
+        if not np.isfinite(arr).all():
+            raise VersionMismatch(f"{path}: tensor {name} holds non-finite values")
         if name.startswith("p."):
             params[name[2:]] = arr
         else:
@@ -316,6 +326,7 @@ def train(
     cfg.epochs fixes the decay horizon; stop_epoch interrupts early so the
     run can be checkpointed and resumed on the identical trajectory. Returns
     the final checkpoint and the per-epoch log (epoch, lr, loss, seconds).
+    A non-finite loss raises NonFiniteLoss before its backward pass.
     """
     cfg.validate()
     if not data.train:
@@ -338,7 +349,7 @@ def train(
             lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
             t0 = time.perf_counter()
             losses = []
-            for _ in range(cfg.iters_per_epoch):
+            for it in range(cfg.iters_per_epoch):
                 total = None
                 for _ in range(cfg.batch):
                     case = data.train[rng.randint(len(data.train))]
@@ -347,10 +358,13 @@ def train(
                     loss = soft_dice_ce_loss(logits, Tensor(onehot))
                     total = loss if total is None else total + loss
                 total = total * Tensor(1.0 / cfg.batch)
+                loss_value = total.item()
+                if not math.isfinite(loss_value):
+                    raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")
                 model.zero_grads()
                 total.backward()
                 sgd_nesterov_step(named, momentum, lr, cfg.momentum)
-                losses.append(total.item())
+                losses.append(loss_value)
             entry = {
                 "epoch": epoch,
                 "lr": lr,

@@ -1,0 +1,110 @@
+"""conv3d against a reference im2col implementation.
+
+The reference is the straightforward im2col + one matmul (and col2im in the
+backward pass) that conv3d used before it read shifted slices. Every shape
+runs through the public op and through each internal path that accepts it,
+so a change to the path selection cannot hide a broken path.
+"""
+
+import numpy as np
+import pytest
+
+from gasaunet import tensor as T
+from gasaunet.tensor import Rng, Tensor
+
+ATOL = 1e-10
+
+
+def reference_conv3d(x, w, b, stride, padding, g):
+    """(out, dx, dw, db) of the cross-correlation for output gradient g."""
+    cin = x.shape[0]
+    cout, _, kw, kh, kd = w.shape
+    sw, sh, sd = stride
+    pw, ph, pd = padding
+    xp = np.pad(x, ((0, 0), (pw, pw), (ph, ph), (pd, pd)))
+    ow = (xp.shape[1] - kw) // sw + 1
+    oh = (xp.shape[2] - kh) // sh + 1
+    od = (xp.shape[3] - kd) // sd + 1
+    cols = np.empty((cin, kw, kh, kd, ow, oh, od))
+    for a in range(kw):
+        for bb in range(kh):
+            for c in range(kd):
+                cols[:, a, bb, c] = xp[:, a : a + sw * ow : sw, bb : bb + sh * oh : sh, c : c + sd * od : sd]
+    cols_2d = cols.reshape(cin * kw * kh * kd, -1)
+    w2d = w.reshape(cout, -1)
+    out = (w2d @ cols_2d + b[:, None]).reshape(cout, ow, oh, od)
+    g2d = g.reshape(cout, -1)
+    dw = (g2d @ cols_2d.T).reshape(w.shape)
+    db = g2d.sum(axis=1)
+    dcols = (w2d.T @ g2d).reshape(cols.shape)
+    dxp = np.zeros_like(xp)
+    for a in range(kw):
+        for bb in range(kh):
+            for c in range(kd):
+                dxp[:, a : a + sw * ow : sw, bb : bb + sh * oh : sh, c : c + sd * od : sd] += dcols[:, a, bb, c]
+    dx = dxp[:, pw : pw + x.shape[1], ph : ph + x.shape[2], pd : pd + x.shape[3]]
+    return out, dx, dw, db
+
+
+# (cin, cout, spatial, kernel, stride, padding)
+SHAPES = {
+    "cin1": (1, 8, (6, 6, 6), (3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    "cin<cout": (2, 5, (5, 4, 6), (3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    "cin>cout": (6, 3, (5, 4, 6), (3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    "cin=cout-pad0": (4, 4, (6, 5, 7), (3, 3, 3), (1, 1, 1), (0, 0, 0)),
+    "stride222": (3, 4, (8, 8, 8), (3, 3, 3), (2, 2, 2), (1, 1, 1)),
+    "stride212": (3, 2, (7, 6, 5), (3, 3, 3), (2, 1, 2), (1, 1, 1)),
+    "stride222-pad0": (4, 2, (7, 6, 8), (3, 3, 3), (2, 2, 2), (0, 0, 0)),
+    "1x1x1": (7, 3, (4, 5, 6), (1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    "1x1x1-cin<cout": (3, 5, (4, 5, 6), (1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    "1x1x1-pad1": (4, 2, (3, 4, 5), (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+    "plane-w": (6, 4, (4, 5, 3), (1, 5, 3), (1, 1, 1), (0, 0, 0)),
+    "plane-h": (6, 4, (4, 5, 3), (4, 1, 3), (1, 1, 1), (0, 0, 0)),
+    "plane-d": (6, 4, (4, 5, 3), (4, 5, 1), (1, 1, 1), (0, 0, 0)),
+    "even-kernel": (2, 2, (4, 5, 4), (2, 2, 2), (1, 1, 1), (0, 0, 0)),
+    "mixed-kernel": (3, 3, (5, 4, 6), (3, 1, 2), (1, 1, 1), (1, 0, 1)),
+}
+
+
+def _draw(case, seed):
+    cin, cout, spatial, kernel, stride, padding = case
+    rng = Rng(seed)
+    x = rng.normal_array(cin * int(np.prod(spatial))).reshape((cin,) + spatial)
+    w = rng.normal_array(cout * cin * int(np.prod(kernel))).reshape((cout, cin) + kernel)
+    b = rng.normal_array(cout)
+    out_shape, _, _ = T._conv3d_geometry(x.shape, w.shape, stride, padding)
+    g = rng.normal_array(int(np.prod(out_shape))).reshape(out_shape)
+    return x, w, b, g, out_shape
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_conv3d_matches_reference(name):
+    *_, stride, padding = SHAPES[name]
+    x, w, b, g, _ = _draw(SHAPES[name], seed=len(name))
+    ref_out, ref_dx, ref_dw, ref_db = reference_conv3d(x, w, b, stride, padding, g)
+
+    xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    out = T.conv3d(xt, wt, bt, stride=stride, padding=padding)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    assert out.shape == ref_out.shape
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(wt.grad, ref_dw, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(xt.grad, ref_dx, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(bt.grad, ref_db, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_conv3d_paths_match_reference(name):
+    *_, stride, padding = SHAPES[name]
+    x, w, b, g, out_shape = _draw(SHAPES[name], seed=len(name))
+    ref_out, ref_dx, ref_dw, _ = reference_conv3d(x, w, np.zeros_like(b), stride, padding, g)
+    paths = [T._conv3d_gather(x, w, stride, padding, out_shape)]
+    if stride == (1, 1, 1):
+        paths.append(T._conv3d_shifted(x, w, padding, out_shape))
+    for out, grads in paths:
+        dx, dw = grads(g, True, True)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(dw, ref_dw, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=ATOL)
+        assert grads(g, False, False) == (None, None)
+

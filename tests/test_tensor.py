@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +246,24 @@ def test_backward_accumulates_without_zero_grad():
     T.tsum(T.mul(x, x)).backward()
     T.tsum(T.mul(x, x)).backward()
     assert x.grad.tolist() == [4.0, 8.0]
+
+
+def test_backward_frees_graph_without_cyclic_gc():
+    rng = Rng(3)
+    x = Tensor(rng.normal_array(2 * 4 * 4 * 4).reshape(2, 4, 4, 4), requires_grad=True)
+    w = Tensor(rng.normal_array(2 * 2 * 27).reshape(2, 2, 3, 3, 3), requires_grad=True)
+    gc.disable()
+    try:
+        h = T.conv3d(x, w, T.zeros([2]), padding=(1, 1, 1))
+        alive = weakref.ref(h.data)
+        loss = T.tsum(T.mul(h, h))
+        del h
+        loss.backward()
+        del loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert x.grad is not None and w.grad is not None
 
 
 def test_backward_requires_scalar():

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from gasaunet.backbone import make_backbone_config, build_model
-from gasaunet.errors import InvalidEpoch, VersionMismatch
+from gasaunet.errors import InvalidEpoch, NonFiniteLoss, VersionMismatch
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
     Checkpoint,
@@ -180,6 +182,42 @@ def test_corrupted_magic_raises(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatch):
         load_checkpoint(path)
+
+
+def _saved_untrained_checkpoint(path):
+    model = tiny_model()
+    momentum = {name: np.full_like(p.data, 0.5) for name, p in model.named_params()}
+    ckpt = checkpoint_from_model(model, momentum, 0, Rng(0))
+    save_checkpoint(ckpt, path)
+    return ckpt
+
+
+def test_truncated_checkpoint_names_file_and_tensor(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt = _saved_untrained_checkpoint(path)
+    last = f"m.{list(ckpt.momentum)[-1]}"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*{re.escape(last)}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("table", ["params", "momentum"])
+def test_non_finite_checkpoint_tensor_rejected(tmp_path, table):
+    path = tmp_path / "model.ckpt"
+    ckpt = _saved_untrained_checkpoint(path)
+    name = sorted(getattr(ckpt, table))[0]
+    getattr(ckpt, table)[name].reshape(-1)[0] = np.nan
+    save_checkpoint(ckpt, path)
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*{re.escape(table[0] + '.' + name)}"):
+        load_checkpoint(path)
+
+
+def test_non_finite_loss_stops_training():
+    data = tiny_data()
+    for case in data.train:
+        case.image[:, 4:10, 4:10, 4:10] = np.nan
+    with pytest.raises(NonFiniteLoss, match="epoch 0, iteration 0"):
+        train(tiny_model(), data, tiny_train_cfg())
 
 
 def test_loss_decreases_on_easy_task():
