@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gasa
 from . import tensor as T
 from .errors import InvalidConfig, ShapeMismatch
-from .gasa import GasaBlock, GasaConfig, count_gasa_params
+from .gasa import GasaConfig, count_gasa_params
 from .tensor import Rng, Tensor
 
 LEAKY_SLOPE = 0.01
@@ -164,7 +165,7 @@ class GasaUNet:
             self.encoder.append(blocks)
             cin = c
 
-        self.gasa = GasaBlock(cfg.gasa, rng) if cfg.gasa is not None else None
+        self.gasa = gasa.init_gasa_params(cfg.gasa, rng) if cfg.gasa is not None else None
         bottom_ch = ch[-1] + (3 * cfg.gasa.d_model if cfg.gasa is not None else 0)
 
         self.reduce: list[ConvBlock] = []
@@ -191,7 +192,7 @@ class GasaUNet:
                 h = blk.forward(h)
             skips.append(h)
         if self.gasa is not None:
-            h = self.gasa.forward(h, training=training, rng=rng)
+            h = gasa.gasa_forward(h, self.gasa, self.cfg.gasa, training=training, rng=rng)
         n_stages = len(self.cfg.stage_channels)
         for idx, lvl in enumerate(range(n_stages - 2, -1, -1)):
             h = T.upsample_nearest(h, self.cfg.downsample_strides[lvl + 1])
@@ -214,7 +215,7 @@ class GasaUNet:
             for j, blk in enumerate(blocks):
                 yield from blk.named_params(f"enc{i}.{j}")
         if self.gasa is not None:
-            yield from self.gasa.named_params("gasa")
+            yield from self.gasa.named("gasa")
         for idx in range(len(self.reduce)):
             yield from self.reduce[idx].named_params(f"dec{idx}.reduce")
             yield from self.post[idx].named_params(f"dec{idx}.post")

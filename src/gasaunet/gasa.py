@@ -1,10 +1,10 @@
 """Global axial self-attention block.
 
-One token per slice along each spatial axis: a full-plane convolution
-projects every W/H/D slice to a d_model vector, the w+h+d tokens go through
-MLP-free multi-head self-attention, each attended token is broadcast back
-over its slice, and the three axis volumes are concatenated onto the input
-channels. An optional learnable positional embedding is added to the tokens
+One token per slice along each spatial axis: a full-plane kernel projects
+every W/H/D slice to a d_model vector, the w+h+d tokens go through MLP-free
+multi-head self-attention (the heads are one array axis), each attended
+token is broadcast back over its slice, and the three axis volumes are
+concatenated onto the input channels. An optional learnable positional embedding is added to the tokens
 either before or after attention.
 """
 
@@ -84,12 +84,6 @@ class GasaParams:
             yield f"{prefix}.ln.{name}", self.ln[name]
 
 
-@dataclass
-class PatchSequence:
-    tokens: Tensor                       # [(w+h+d), d_model]
-    axis_offsets: tuple[int, int, int]   # row offsets of the W/H/D groups
-
-
 def init_gasa_params(cfg: GasaConfig, rng: Rng) -> GasaParams:
     cfg.validate()
     c = cfg.in_channels
@@ -123,21 +117,23 @@ def init_gasa_params(cfg: GasaConfig, rng: Rng) -> GasaParams:
     return params
 
 
-def axial_project(x: Tensor, params: GasaParams, cfg: GasaConfig) -> PatchSequence:
-    """One token per slice: full-plane convolutions along W, H, and D."""
+def axial_project(x: Tensor, params: GasaParams, cfg: GasaConfig) -> Tensor:
+    """One token per slice: each W, H and D slice contracted with its
+    full-plane kernel. Returns the [(w+h+d), d_model] token sequence, W
+    tokens first, then H, then D."""
     w, h, d = cfg.spatial
-    if x.shape != (cfg.in_channels, w, h, d):
-        raise ShapeMismatch(f"expected input {(cfg.in_channels, w, h, d)}, got {x.shape}")
+    c = cfg.in_channels
+    if x.shape != (c, w, h, d):
+        raise ShapeMismatch(f"expected input {(c, w, h, d)}, got {x.shape}")
     dm = cfg.d_model
-    p_w = T.transpose2d(T.reshape(T.conv3d(x, params.proj_w, params.proj_w_b), (dm, w)))
-    p_h = T.transpose2d(T.reshape(T.conv3d(x, params.proj_h, params.proj_h_b), (dm, h)))
-    p_d = T.transpose2d(T.reshape(T.conv3d(x, params.proj_d, params.proj_d_b), (dm, d)))
-    tokens = T.concat([p_w, p_h, p_d], axis=0)
-    return PatchSequence(tokens=tokens, axis_offsets=(0, w, w + h))
+    p_w = T.add(T.einsum("cwhd,ochd->wo", x, T.reshape(params.proj_w, (dm, c, h, d))), params.proj_w_b)
+    p_h = T.add(T.einsum("cwhd,ocwd->ho", x, T.reshape(params.proj_h, (dm, c, w, d))), params.proj_h_b)
+    p_d = T.add(T.einsum("cwhd,ocwh->do", x, T.reshape(params.proj_d, (dm, c, w, h))), params.proj_d_b)
+    return T.concat([p_w, p_h, p_d], axis=0)
 
 
 def mhsa(
-    p: PatchSequence | Tensor,
+    tokens: Tensor,
     params: GasaParams,
     cfg: GasaConfig,
     training: bool = False,
@@ -146,42 +142,34 @@ def mhsa(
 ):
     """Multi-head scaled dot-product self-attention over the token sequence.
 
-    No MLP follows: heads are concatenated, mixed by the output projection,
-    and (when training) hit by dropout. Layer norm after each of the Q/K/V
-    projections is optional and off by default.
+    Head h owns feature columns [h*d_k, (h+1)*d_k) of Q, K and V. No MLP
+    follows: the heads are merged back into d_model columns, mixed by the
+    output projection, and (when training) hit by dropout. Layer norm after
+    each of the Q/K/V projections is optional and off by default. With
+    return_weights, also returns one row-stochastic [n, n] Tensor per head.
     """
-    tokens = p.tokens if isinstance(p, PatchSequence) else p
     dm = cfg.d_model
     if tokens.data.ndim != 2 or tokens.shape[1] != dm:
         raise ShapeMismatch(f"tokens must be [n, {dm}], got {tokens.shape}")
+    n = tokens.shape[0]
 
     def project(wmat: Tensor, bias: Tensor, key: str) -> Tensor:
-        out = T.add(T.matmul(tokens, wmat), bias)
+        out = T.add(T.einsum("nc,co->no", tokens, wmat), bias)
         if cfg.use_layer_norm:
             out = T.layer_norm(out, params.ln[f"{key}_gamma"], params.ln[f"{key}_beta"])
-        return out
+        return T.reshape(out, (n, cfg.heads, cfg.d_k))
 
     q = project(params.wq, params.bq, "q")
     k = project(params.wk, params.bk, "k")
     v = project(params.wv, params.bv, "v")
 
-    scale = Tensor(1.0 / math.sqrt(cfg.d_k))
-    head_outs = []
-    weights = []
-    for hd in range(cfg.heads):
-        lo = hd * cfg.d_k
-        qh = T.narrow(q, 1, lo, cfg.d_k)
-        kh = T.narrow(k, 1, lo, cfg.d_k)
-        vh = T.narrow(v, 1, lo, cfg.d_k)
-        scores = T.mul(T.matmul(qh, T.transpose2d(kh)), scale)
-        probs = T.softmax_lastdim(scores)
-        weights.append(probs)
-        head_outs.append(T.matmul(probs, vh))
-    merged = head_outs[0] if cfg.heads == 1 else T.concat(head_outs, axis=1)
-    out = T.add(T.matmul(merged, params.wo), params.bo)
+    scores = T.mul(T.einsum("qhd,khd->hqk", q, k), Tensor(1.0 / math.sqrt(cfg.d_k)))
+    probs = T.softmax(scores, axis=-1)
+    merged = T.reshape(T.einsum("hqk,khd->qhd", probs, v), (n, dm))
+    out = T.add(T.einsum("nc,co->no", merged, params.wo), params.bo)
     out = T.dropout(out, cfg.dropout_p, training=training, rng=rng)
     if return_weights:
-        return out, weights
+        return out, [Tensor(head) for head in probs.data]
     return out
 
 
@@ -201,17 +189,15 @@ def axial_expand(att: Tensor, cfg: GasaConfig) -> Tensor:
     out_data[dm : 2 * dm] = np.broadcast_to(a[w : w + h].T[:, None, :, None], (dm, w, h, d))
     out_data[2 * dm :] = np.broadcast_to(a[w + h :].T[:, None, None, :], (dm, w, h, d))
 
-    def bw():
+    def bw(g):
         if att.requires_grad:
-            g = out.grad
             datt = np.empty_like(a)
             datt[:w] = g[:dm].sum(axis=(2, 3)).T
             datt[w : w + h] = g[dm : 2 * dm].sum(axis=(1, 3)).T
             datt[w + h :] = g[2 * dm :].sum(axis=(1, 2)).T
             att.accumulate_grad(datt)
 
-    out = T._node(out_data, (att,), bw)
-    return out
+    return T._node(out_data, (att,), bw)
 
 
 def add_positional_embedding(tokens_or_att: Tensor, pe: Tensor, mode: str) -> Tensor:
@@ -236,11 +222,10 @@ def gasa_forward(
 
     The first in_channels output channels are the untouched input.
     """
-    seq = axial_project(x, params, cfg)
-    tokens = seq.tokens
+    tokens = axial_project(x, params, cfg)
     if cfg.pe_mode == PE_BEFORE:
         tokens = add_positional_embedding(tokens, params.pe, PE_BEFORE)
-    att = mhsa(PatchSequence(tokens, seq.axis_offsets), params, cfg, training=training, rng=rng)
+    att = mhsa(tokens, params, cfg, training=training, rng=rng)
     if cfg.pe_mode == PE_AFTER:
         att = add_positional_embedding(att, params.pe, PE_AFTER)
     vol = axial_expand(att, cfg)
@@ -261,17 +246,3 @@ def count_gasa_params(cfg: GasaConfig) -> int:
     n += (w + h + d) * dm                               # positional table
     return n
 
-
-class GasaBlock:
-    """Config + params bundle with a forward method."""
-
-    def __init__(self, cfg: GasaConfig, rng: Rng):
-        cfg.validate()
-        self.cfg = cfg
-        self.params = init_gasa_params(cfg, rng)
-
-    def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
-        return gasa_forward(x, self.params, self.cfg, training=training, rng=rng)
-
-    def named_params(self, prefix: str = "gasa"):
-        yield from self.params.named(prefix)

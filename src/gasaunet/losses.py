@@ -16,36 +16,25 @@ from .tensor import Tensor
 LOG_FLOOR = 1e-12
 
 
-def class_probabilities(logits: Tensor) -> Tensor:
-    """Softmax over the class channel; [K, W, H, D] -> [N_voxels, K]."""
-    k = logits.shape[0]
-    n = logits.size // k
-    return T.softmax_lastdim(T.transpose2d(T.reshape(logits, (k, n))))
-
-
 def soft_dice_ce_parts(logits: Tensor, onehot: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """(total, dice term, cross-entropy term); the parts sum to the total."""
+    """(total, dice term, cross-entropy term); the parts sum to the total.
+
+    A class absent from both the labels and the prediction support has a
+    zero Dice denominator; it scores a perfect 1 with zero gradient, through
+    a mask added to its numerator and denominator.
+    """
     if logits.shape != onehot.shape or logits.data.ndim != 4:
         raise ShapeMismatch(f"logits {logits.shape} vs one-hot labels {onehot.shape}")
     k = logits.shape[0]
     n = logits.size // k
-    probs = class_probabilities(logits)                       # [N, K]
-    labels = T.transpose2d(T.reshape(onehot, (k, n)))         # [N, K]
+    probs = T.softmax(T.reshape(logits, (k, n)), axis=0)         # [K, N]
+    labels = T.reshape(onehot, (k, n))                           # [K, N]
 
-    dice_sum: Tensor | None = None
-    for c in range(k):
-        y = T.narrow(probs, 1, c, 1)
-        l = T.narrow(labels, 1, c, 1)
-        den = T.add(T.tsum(T.mul(l, l)), T.tsum(T.mul(y, y)))
-        if den.item() == 0.0:
-            # class absent from labels and prediction support: contributes a
-            # perfect score, i.e. zero loss
-            dice_c = Tensor(1.0)
-        else:
-            num = T.mul(Tensor(2.0), T.tsum(T.mul(l, y)))
-            dice_c = T.div(num, den)
-        dice_sum = dice_c if dice_sum is None else T.add(dice_sum, dice_c)
-    dice_term = T.sub(Tensor(1.0), T.mul(dice_sum, Tensor(1.0 / k)))
+    inter = T.tsum(T.mul(labels, probs), axis=1)                 # [K]
+    den = T.add(T.tsum(T.mul(labels, labels), axis=1), T.tsum(T.mul(probs, probs), axis=1))
+    absent = Tensor((den.data == 0.0) * 1.0)
+    dice = T.div(T.add(T.mul(inter, Tensor(2.0)), absent), T.add(den, absent))
+    dice_term = T.sub(Tensor(1.0), T.mul(T.tsum(dice), Tensor(1.0 / k)))
 
     log_y = T.log(T.clamp_min(probs, LOG_FLOOR))
     ce_term = T.mul(T.tsum(T.mul(labels, log_y)), Tensor(-1.0 / n))

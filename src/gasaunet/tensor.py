@@ -2,9 +2,11 @@
 
 The engine is define-by-run: every operation returns a new Tensor that
 remembers its parents and a closure that routes the output gradient back to
-them. backward() seeds the scalar root with 1 and replays the closures in
-reverse topological order. Everything is float64; there is no device or
-dtype story beyond that.
+them. A closure receives that gradient as its argument and never refers to
+its own output, so the graph has no cycles and a graph that is dropped
+without a backward pass is freed by reference counting. backward() seeds
+the scalar root with 1 and replays the closures in reverse topological
+order. Everything is float64; there is no device or dtype story beyond that.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ class Tensor:
 
     grad is allocated lazily on first accumulation. Intermediate tensors keep
     references to their parents and a backward closure until backward()
-    consumes them; leaves keep neither.
+    consumes them; leaves keep neither, and only leaves keep a grad after
+    backward().
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -109,7 +112,7 @@ class Tensor:
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple["Tensor", ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
 
     # -- basics -------------------------------------------------------------
 
@@ -128,9 +131,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -145,10 +145,10 @@ class Tensor:
         """Reverse-mode sweep from a scalar root.
 
         Repeated calls without zero_grad accumulate into leaf gradients. The
-        sweep consumes the graph: each node drops its closure and parents
-        once it has run, which breaks the node -> closure -> node cycle so
-        the step's buffers are freed by reference counting, not left for the
-        cyclic collector. A second sweep needs a fresh forward pass.
+        sweep consumes the graph: once a node's closure has run, the node
+        drops its closure, its parents and its gradient, so each buffer is
+        freed as soon as the sweep is past it. A second sweep needs a fresh
+        forward pass.
         """
         if self.data.size != 1:
             raise NotScalar(f"backward() root must be scalar, got shape {self.shape}")
@@ -169,8 +169,11 @@ class Tensor:
                     stack.append((p, False))
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = None
             node._backward = None
             node._parents = ()
 
@@ -200,9 +203,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, Tensor(-1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -220,7 +220,7 @@ def tensor_new(shape: Sequence[int], values: Sequence[float], requires_grad: boo
     return Tensor(vals.reshape(shape), requires_grad=requires_grad)
 
 
-def _node(data: Array, parents: Iterable[Tensor], backward: Callable[[], None]) -> Tensor:
+def _node(data: Array, parents: Iterable[Tensor], backward: Callable[[Array], None]) -> Tensor:
     """Result tensor; records the graph edge only when a parent needs grads."""
     parents = tuple(parents)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
@@ -248,86 +248,59 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad, b.shape))
+            b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    out = _node(out_data, (a, b), bw)
-    return out
+    return _node(out_data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-out.grad, b.shape))
+            b.accumulate_grad(_unbroadcast(-g, b.shape))
 
-    out = _node(out_data, (a, b), bw)
-    return out
+    return _node(out_data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
-    out = _node(out_data, (a, b), bw)
-    return out
+    return _node(out_data, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad / b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
+            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    out = _node(out_data, (a, b), bw)
-    return out
-
-
-def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    out_data = a.data ** exponent
-
-    def bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * exponent * a.data ** (exponent - 1.0))
-
-    out = _node(out_data, (a,), bw)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out_data)
-
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, (a, b), bw)
 
 
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(out.grad / a.data)
+            a.accumulate_grad(g / a.data)
 
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, (a,), bw)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -335,42 +308,34 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     keep = a.data > floor
     out_data = np.where(keep, a.data, floor)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(out.grad * keep)
+            a.accumulate_grad(g * keep)
 
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, (a,), bw)
 
 
 def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
 
-    out = _node(out_data, (a,), bw)
-    return out
-
-
-def tmean(a: Tensor) -> Tensor:
-    return mul(tsum(a), Tensor(1.0 / a.size))
+    return _node(out_data, (a,), bw)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     pos = a.data > 0
     out_data = np.where(pos, a.data, slope * a.data)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(out.grad * np.where(pos, 1.0, slope))
+            a.accumulate_grad(g * np.where(pos, 1.0, slope))
 
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -382,59 +347,27 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out_data = a.data.reshape(shape)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.shape))
+            a.accumulate_grad(g.reshape(a.shape))
 
-    out = _node(out_data, (a,), bw)
-    return out
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose2d expects 2-d input, got shape {a.shape}")
-    out_data = a.data.T.copy()
-
-    def bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.T)
-
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
 
-    def bw():
+    def bw(g):
         offset = 0
         for t, ext in zip(tensors, extents):
             if t.requires_grad:
-                sl = [slice(None)] * out.grad.ndim
+                sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offset, offset + ext)
-                t.accumulate_grad(out.grad[tuple(sl)])
+                t.accumulate_grad(g[tuple(sl)])
             offset += ext
 
-    out = _node(out_data, tensors, bw)
-    return out
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out_data = a.data[sl].copy()
-
-    def bw():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[sl] = out.grad
-            a.accumulate_grad(g)
-
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, tensors, bw)
 
 
 def upsample_nearest(a: Tensor, factors: Sequence[int]) -> Tensor:
@@ -444,53 +377,69 @@ def upsample_nearest(a: Tensor, factors: Sequence[int]) -> Tensor:
     fw, fh, fd = (int(f) for f in factors)
     out_data = a.data.repeat(fw, axis=1).repeat(fh, axis=2).repeat(fd, axis=3)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
             c, w, h, d = a.shape
-            g = out.grad.reshape(c, w, fw, h, fh, d, fd).sum(axis=(2, 4, 6))
+            g = g.reshape(c, w, fw, h, fh, d, fd).sum(axis=(2, 4, 6))
             a.accumulate_grad(g)
 
-    out = _node(out_data, (a,), bw)
-    return out
+    return _node(out_data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# contraction and softmax
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner extents disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+def einsum(spec: str, *operands: Tensor) -> Tensor:
+    """np.einsum over an explicit "ab,bc->ac" spec, differentiable in every operand.
 
-    def bw():
+    The gradient of an operand is the einsum of the output gradient with the
+    other operands, written back to that operand's indices. For that to be
+    a plain contraction, no operand may repeat an index (no diagonals), and
+    every index of an operand must also appear in the output or in another
+    operand (no index that only one operand sums away).
+    """
+    lhs, arrow, out_idx = spec.replace(" ", "").partition("->")
+    terms = lhs.split(",")
+    if not arrow or len(terms) != len(operands):
+        raise ShapeMismatch(f"einsum spec {spec!r} needs '->' and one term per operand ({len(operands)})")
+    extents: dict[str, int] = {}
+    for i, (term, t) in enumerate(zip(terms, operands)):
+        if len(term) != t.data.ndim or len(set(term)) != len(term):
+            raise ShapeMismatch(f"einsum term {term!r} does not index operand {i} of shape {t.shape} once per axis")
+        elsewhere = out_idx + "".join(terms[:i] + terms[i + 1 :])
+        for idx, n in zip(term, t.shape):
+            if idx not in elsewhere:
+                raise ShapeMismatch(f"einsum index {idx!r} of term {term!r} appears in no other term or the output")
+            if extents.setdefault(idx, n) != n:
+                raise ShapeMismatch(f"einsum index {idx!r} has extents {extents[idx]} and {n} in {spec!r}")
+    if len(set(out_idx)) != len(out_idx) or not set(out_idx) <= set(extents):
+        raise ShapeMismatch(f"einsum output {out_idx!r} repeats an index or names one no operand has")
+    out_data = np.einsum(spec, *(t.data for t in operands), optimize=True)
+
+    def bw(g):
+        for i, t in enumerate(operands):
+            if t.requires_grad:
+                rest = [j for j in range(len(operands)) if j != i]
+                spec_i = ",".join([out_idx] + [terms[j] for j in rest]) + "->" + terms[i]
+                t.accumulate_grad(np.einsum(spec_i, g, *(operands[j].data for j in rest), optimize=True))
+
+    return _node(out_data, operands, bw)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Softmax over one axis, max-subtracted for stability."""
+    if a.data.ndim == 0 or a.shape[axis] < 1:
+        raise ShapeMismatch(f"softmax needs a nonempty axis {axis}, got shape {a.shape}")
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(out.grad @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ out.grad)
+            a.accumulate_grad(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    out = _node(out_data, (a, b), bw)
-    return out
-
-
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    if a.shape[-1] < 1:
-        raise ShapeMismatch("softmax_lastdim needs a nonempty last axis")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw():
-        if a.requires_grad:
-            g = out.grad
-            a.accumulate_grad(y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    out = _node(y, (a,), bw)
-    return out
+    return _node(y, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +456,13 @@ def _normalize(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
     y = (a.data - mu) * inv_std
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            g = out.grad
             gm = g.mean(axis=axes, keepdims=True)
             gym = (g * y).mean(axis=axes, keepdims=True)
             a.accumulate_grad(inv_std * (g - gm - y * gym))
 
-    out = _node(y, (a,), bw)
-    return out
+    return _node(y, (a,), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -559,12 +506,11 @@ def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tens
     scale = 1.0 / (1.0 - p)
     out_data = x.data * keep * scale
 
-    def bw():
+    def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(out.grad * keep * scale)
+            x.accumulate_grad(g * keep * scale)
 
-    out = _node(out_data, (x,), bw)
-    return out
+    return _node(out_data, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -707,37 +653,33 @@ def conv3d(
     shapes alone; im2col (`_conv3d_gather`) is faster, as measured, when
     - the stride is not 1: stride 1 then subsampling wastes most products;
     - Cin < Cout, as in the Cin=1 stem: each offset is then a thin product
-      whose [Cout, L] accumulation costs more than gathering the columns;
-    - fewer than half of the computed columns survive the crop, as for
-      kernels that span a whole plane (the GASA projections).
+      whose [Cout, L] accumulation costs more than gathering the columns.
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"conv3d input must be [Cin,W,H,D], got {x.shape}")
     if w.data.ndim != 5:
         raise ShapeMismatch(f"conv3d kernel must be [Cout,Cin,kw,kh,kd], got {w.shape}")
     out_shape, stride, padding = _conv3d_geometry(x.shape, w.shape, stride, padding)
-    cout, ow, oh, od = out_shape
+    cout = out_shape[0]
     if b.shape != (cout,):
         raise ShapeMismatch(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
-    computed = ow * (x.shape[2] + 2 * padding[1]) * (x.shape[3] + 2 * padding[2])
-    if stride == (1, 1, 1) and x.shape[0] >= cout and 2 * ow * oh * od >= computed:
+    if stride == (1, 1, 1) and x.shape[0] >= cout:
         out_data, grads = _conv3d_shifted(x.data, w.data, padding, out_shape)
     else:
         out_data, grads = _conv3d_gather(x.data, w.data, stride, padding, out_shape)
     out_data = out_data + b.data[:, None, None, None]
 
-    def bw():
-        dx, dw = grads(out.grad, x.requires_grad, w.requires_grad)
+    def bw(g):
+        dx, dw = grads(g, x.requires_grad, w.requires_grad)
         if w.requires_grad:
             w.accumulate_grad(dw)
         if b.requires_grad:
-            b.accumulate_grad(out.grad.sum(axis=(1, 2, 3)))
+            b.accumulate_grad(g.sum(axis=(1, 2, 3)))
         if x.requires_grad:
             x.accumulate_grad(dx)
 
-    out = _node(out_data, (x, w, b), bw)
-    return out
+    return _node(out_data, (x, w, b), bw)
 
 
 # ---------------------------------------------------------------------------

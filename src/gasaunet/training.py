@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneConfig, GasaUNet, build_model
-from .errors import InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
+from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
 from .gasa import GasaConfig
 from .losses import soft_dice_ce_loss
 from .phantom import load_manifest
@@ -156,9 +156,26 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
+def _header_field(path, table, key: str, kind: type, where: str = "header"):
+    """table[key] if table is a dict holding a `kind` there; else
+    VersionMismatch naming the file and the field."""
+    value = table.get(key) if isinstance(table, dict) else None
+    if type(value) is not kind:
+        raise VersionMismatch(f"{path}: checkpoint {where} field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def _int_list(path, table, key: str, where: str = "header") -> list[int]:
+    values = _header_field(path, table, key, list, where)
+    if not all(type(v) is int and v >= 0 for v in values):
+        raise VersionMismatch(f"{path}: checkpoint {where} field {key!r} must list non-negative integers")
+    return values
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a truncated payload or a non-finite tensor raises
-    VersionMismatch naming the file and the tensor."""
+    """Read a checkpoint; a header field that is missing or mistyped, a
+    truncated payload or a non-finite tensor raises VersionMismatch naming
+    the file and the field or tensor."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise VersionMismatch(f"{path}: bad checkpoint magic")
@@ -173,11 +190,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     payload = raw[hstart + hlen :]
     params: dict[str, np.ndarray] = {}
     momentum: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
+    for i, entry in enumerate(_header_field(path, header, "tensors", list)):
+        where = f"tensor table entry {i}"
+        name = _header_field(path, entry, "name", str, where)
+        shape = tuple(_int_list(path, entry, "shape", where))
         n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        start = _header_field(path, entry, "offset", int, where)
         if start < 0 or start + 8 * n > len(payload):
             raise VersionMismatch(
                 f"{path}: tensor {name} needs payload bytes [{start}, {start + 8 * n}), "
@@ -190,13 +208,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             params[name[2:]] = arr
         else:
             momentum[name[2:]] = arr
+    rng_state = tuple(_int_list(path, header, "rng"))
+    if len(rng_state) != 2:
+        raise VersionMismatch(f"{path}: checkpoint header field 'rng' must hold (seed, counter)")
+    try:
+        backbone = _backbone_from_dict(_header_field(path, header, "backbone", dict))
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        raise VersionMismatch(f"{path}: checkpoint header field 'backbone' is malformed ({exc!r})") from exc
     return Checkpoint(
-        backbone=_backbone_from_dict(header["backbone"]),
+        backbone=backbone,
         params=params,
         momentum=momentum,
-        epoch=header["epoch"],
-        rng_state=tuple(header["rng"]),
-        extra=header.get("extra", {}),
+        epoch=_header_field(path, header, "epoch", int),
+        rng_state=rng_state,
+        extra=_header_field(path, header, "extra", dict) if "extra" in header else {},
     )
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,48 @@ def test_tiny_model_gradient_check():
     for name, p in model.named_params():
         ad = p.grad if p.grad is not None else np.zeros_like(p.data)
         assert max_rel_err(ad, fd_grad(f, p)) <= 1e-3, name
+
+
+def _graph_nodes(root: Tensor) -> list[Tensor]:
+    """Distinct non-leaf tensors reachable from root through _parents."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._parents:
+            nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
+
+
+def _default_16cube():
+    model = build_model(make_backbone_config(1, 3, (16, 16, 16)), Rng(0))
+    rng = Rng(1)
+    x = Tensor(rng.normal_array(16 ** 3).reshape(1, 16, 16, 16))
+    labels = np.floor(rng.uniform_array(16 ** 3) * 3).astype(int).reshape(16, 16, 16)
+    onehot = Tensor(np.stack([labels == c for c in range(3)]).astype(np.float64))
+    return model, x, onehot
+
+
+def test_graph_size_per_training_sample():
+    model, x, onehot = _default_16cube()
+    loss = soft_dice_ce_loss(model.forward(x, training=True, rng=Rng(2)), onehot)
+    assert len(_graph_nodes(loss)) <= 130
+
+
+def test_forward_only_graph_freed_without_cyclic_gc():
+    model, x, _ = _default_16cube()
+    gc.disable()
+    try:
+        logits = model.forward(x)
+        buffers = [weakref.ref(t.data) for t in _graph_nodes(logits)]
+        assert len(buffers) > 50
+        del logits
+        assert sum(ref() is not None for ref in buffers) == 0
+    finally:
+        gc.enable()
 
 
 def test_conv_flops_formula():

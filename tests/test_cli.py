@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from gasaunet.cli import main
+from gasaunet.training import CKPT_MAGIC, CKPT_VERSION
 
 
 def run(argv):
@@ -73,6 +75,15 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_usage_errors_exit_1():
     assert run(["train"]) == 1
     assert run(["eval", "--data", "somewhere"]) == 1
+
+
+def test_eval_malformed_checkpoint_header_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    blob = json.dumps({"epoch": 0}).encode()
+    ckpt.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'tensors'" in err
 
 
 def test_train_outputs(trained):

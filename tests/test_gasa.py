@@ -4,9 +4,7 @@ import pytest
 from gasaunet import tensor as T
 from gasaunet.errors import InvalidConfig, ShapeMismatch
 from gasaunet.gasa import (
-    GasaBlock,
     GasaConfig,
-    PatchSequence,
     add_positional_embedding,
     axial_expand,
     axial_project,
@@ -29,9 +27,8 @@ def test_token_count():
     cfg = small_cfg(spatial=(4, 6, 8))
     params = init_gasa_params(cfg, Rng(0))
     x = Tensor(np.zeros((2, 4, 6, 8)))
-    seq = axial_project(x, params, cfg)
-    assert seq.tokens.shape == (18, 4)
-    assert seq.axis_offsets == (0, 4, 10)
+    tokens = axial_project(x, params, cfg)
+    assert tokens.shape == (18, 4)
 
 
 def test_token_count_random_shapes():
@@ -41,8 +38,8 @@ def test_token_count_random_shapes():
         c = int(rng.integers(1, 4))
         cfg = small_cfg(in_channels=c, spatial=(w, h, d), d_model=2, heads=1)
         params = init_gasa_params(cfg, Rng(1))
-        seq = axial_project(Tensor(np.zeros((c, w, h, d))), params, cfg)
-        assert seq.tokens.shape == (w + h + d, 2)
+        tokens = axial_project(Tensor(np.zeros((c, w, h, d))), params, cfg)
+        assert tokens.shape == (w + h + d, 2)
 
 
 def test_zero_input_tokens_equal_biases():
@@ -51,11 +48,11 @@ def test_zero_input_tokens_equal_biases():
     params.proj_w_b.data[:] = [1.0, 2.0, 3.0, 4.0]
     params.proj_h_b.data[:] = [5.0, 6.0, 7.0, 8.0]
     params.proj_d_b.data[:] = [-1.0, -2.0, -3.0, -4.0]
-    seq = axial_project(Tensor(np.zeros((2, 3, 4, 5))), params, cfg)
+    tokens = axial_project(Tensor(np.zeros((2, 3, 4, 5))), params, cfg)
     w, h, d = cfg.spatial
-    assert np.all(seq.tokens.data[:w] == params.proj_w_b.data)
-    assert np.all(seq.tokens.data[w : w + h] == params.proj_h_b.data)
-    assert np.all(seq.tokens.data[w + h :] == params.proj_d_b.data)
+    assert np.all(tokens.data[:w] == params.proj_w_b.data)
+    assert np.all(tokens.data[w : w + h] == params.proj_h_b.data)
+    assert np.all(tokens.data[w + h :] == params.proj_d_b.data)
 
 
 def test_projection_matches_dense_dot():
@@ -63,13 +60,13 @@ def test_projection_matches_dense_dot():
     params = init_gasa_params(cfg, Rng(5))
     rng = Rng(6)
     x = rng.normal_array(3 * 4 * 4 * 4).reshape(3, 4, 4, 4)
-    seq = axial_project(Tensor(x), params, cfg)
+    tokens = axial_project(Tensor(x), params, cfg)
     # row 2 of the W group: kernel spans the full H x D plane of slice 2
     kernel = params.proj_w.data  # [6, 3, 1, 4, 4]
     expect = np.array(
         [np.sum(kernel[m, :, 0] * x[:, 2]) + params.proj_w_b.data[m] for m in range(6)]
     )
-    assert np.allclose(seq.tokens.data[2], expect, atol=1e-12)
+    assert np.allclose(tokens.data[2], expect, atol=1e-12)
 
 
 def test_mhsa_single_token():
@@ -115,6 +112,32 @@ def test_mhsa_matches_brute_force():
 
     out = mhsa(Tensor(x), params, cfg)
     assert np.allclose(out.data, expect, atol=1e-12)
+
+
+def test_mhsa_heads_match_per_head_reference():
+    # head h owns columns [h*d_k, (h+1)*d_k) of Q, K and V; merged heads keep that order
+    cfg = small_cfg(spatial=(4, 6, 8), d_model=25, heads=5)
+    params = init_gasa_params(cfg, Rng(33))
+    x = Rng(34).normal_array(18 * 25).reshape(18, 25)
+    q = x @ params.wq.data + params.bq.data
+    k = x @ params.wk.data + params.bk.data
+    v = x @ params.wv.data + params.bv.data
+    head_outs, head_probs = [], []
+    for hd in range(5):
+        cols = slice(5 * hd, 5 * hd + 5)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(5.0)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        head_probs.append(probs)
+        head_outs.append(probs @ v[:, cols])
+    expect = np.concatenate(head_outs, axis=1) @ params.wo.data + params.bo.data
+
+    out, weights = mhsa(Tensor(x), params, cfg, return_weights=True)
+    assert np.allclose(out.data, expect, rtol=0, atol=1e-12)
+    assert len(weights) == 5
+    for got, want in zip(weights, head_probs):
+        assert got.shape == (18, 18)
+        assert np.allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 def test_axial_expand_broadcast_constancy():
@@ -181,9 +204,9 @@ def test_pe_shape_mismatch():
 
 def test_gasa_forward_passthrough_and_channels():
     cfg = GasaConfig(in_channels=3, spatial=(3, 3, 3), d_model=25, heads=5)
-    block = GasaBlock(cfg, Rng(18))
+    params = init_gasa_params(cfg, Rng(18))
     x = Tensor(Rng(19).normal_array(3 * 27).reshape(3, 3, 3, 3))
-    out = block.forward(x)
+    out = gasa_forward(x, params, cfg)
     assert out.shape == (78, 3, 3, 3)  # 3 + 3*25
     assert np.array_equal(out.data[:3], x.data)
 

@@ -30,19 +30,19 @@ def test_tensor_new_scalar_leaf():
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = tensor_new([2, 2], [1, 2, 3, 4])
-    out = T.matmul(eye, m)
+    out = T.einsum("ij,jk->ik", eye, m)
     assert np.array_equal(out.data, m.data)
 
 
 def test_matmul_inner_product():
     a = tensor_new([1, 2], [1, 2])
     b = tensor_new([2, 1], [3, 4])
-    assert T.matmul(a, b).data.tolist() == [[11.0]]
+    assert T.einsum("ij,jk->ik", a, b).data.tolist() == [[11.0]]
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        T.matmul(tensor_new([2, 3], range(6)), tensor_new([2, 2], range(4)))
+        T.einsum("ij,jk->ik", tensor_new([2, 3], range(6)), tensor_new([2, 2], range(4)))
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -51,20 +51,62 @@ def test_matmul_gradient_matches_finite_differences():
     b = Tensor(rng.normal_array(9).reshape(3, 3), requires_grad=True)
 
     def f():
-        return T.tsum(T.matmul(a, b))
+        return T.tsum(T.einsum("ij,jk->ik", a, b))
 
     f().backward()
     fd = fd_grad(f, a, eps=1e-5)
     assert max_rel_err(a.grad, fd) <= 1e-6
 
 
+@pytest.mark.parametrize("spec, shapes", [
+    ("cwhd,ochd->wo", [(2, 3, 4, 5), (6, 2, 4, 5)]),     # axial plane projection
+    ("nc,co->no", [(7, 4), (4, 4)]),                      # token projection
+    ("qhd,khd->hqk", [(7, 2, 3), (7, 2, 3)]),             # per-head scores
+    ("hqk,khd->qhd", [(2, 7, 7), (7, 2, 3)]),             # per-head weighted values
+])
+def test_einsum_gradients_match_finite_differences(spec, shapes):
+    rng = Rng(41)
+    ops = [Tensor(rng.normal_array(int(np.prod(s))).reshape(s), requires_grad=True) for s in shapes]
+    out_shape = T.einsum(spec, *ops).shape
+    coef = rng.normal_array(int(np.prod(out_shape))).reshape(out_shape)
+
+    def f():
+        return T.tsum(T.mul(T.einsum(spec, *ops), Tensor(coef)))
+
+    f().backward()
+    for p in ops:
+        assert max_rel_err(p.grad, fd_grad(f, p)) <= 1e-6
+
+
+def test_einsum_same_operand_twice():
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    T.einsum("ij,ij->", x, x).backward()
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("ij,jk->ik", [(2, 3), (4, 2)]),     # j has extents 3 and 4
+    ("ii,ij->j", [(2, 2), (2, 3)]),      # repeated index within one operand
+    ("ij,jk->k", [(2, 3), (3, 4)]),      # i is in neither the output nor another operand
+    ("ij,jk", [(2, 3), (3, 4)]),         # implicit output
+    ("ij->ij", [(2, 3), (3, 4)]),        # one term for two operands
+    ("ijk,jk->ik", [(2, 3), (3, 4)]),    # term longer than the operand's rank
+    ("ij,jk->iik", [(2, 3), (3, 4)]),    # output repeats an index
+    ("ij,jk->iz", [(2, 3), (3, 4)]),     # output names an index no operand has
+])
+def test_einsum_rejects_bad_specs(spec, shapes):
+    ops = [Tensor(np.ones(s)) for s in shapes]
+    with pytest.raises(ShapeMismatch):
+        T.einsum(spec, *ops)
+
+
 def test_softmax_uniform():
-    out = T.softmax_lastdim(tensor_new([3], [0, 0, 0]))
+    out = T.softmax(tensor_new([3], [0, 0, 0]))
     assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = T.softmax_lastdim(tensor_new([2], [1000.0, 0.0]))
+    out = T.softmax(tensor_new([2], [1000.0, 0.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == pytest.approx(1.0)
 
@@ -72,7 +114,7 @@ def test_softmax_no_overflow():
 def test_softmax_rows_sum_to_one():
     rng = Rng(17)
     x = Tensor(rng.normal_array(35).reshape(5, 7) * 10)
-    y = T.softmax_lastdim(x)
+    y = T.softmax(x)
     assert np.max(np.abs(y.data.sum(axis=-1) - 1.0)) <= 1e-12
     assert np.all((y.data >= 0) & (y.data <= 1))
 
@@ -83,7 +125,21 @@ def test_softmax_gradient():
     coef = rng.normal_array(12).reshape(3, 4)
 
     def f():
-        return T.tsum(T.mul(T.softmax_lastdim(x), Tensor(coef)))
+        return T.tsum(T.mul(T.softmax(x), Tensor(coef)))
+
+    f().backward()
+    assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-5
+
+
+def test_softmax_axis_zero_matches_last_axis_of_transpose():
+    rng = Rng(29)
+    x = Tensor(rng.normal_array(12).reshape(3, 4), requires_grad=True)
+    coef = rng.normal_array(12).reshape(3, 4)
+    y = T.softmax(x, axis=0)
+    assert np.array_equal(y.data, T.softmax(Tensor(x.data.T)).data.T)
+
+    def f():
+        return T.tsum(T.mul(T.softmax(x, axis=0), Tensor(coef)))
 
     f().backward()
     assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-5
@@ -266,6 +322,31 @@ def test_backward_frees_graph_without_cyclic_gc():
     assert x.grad is not None and w.grad is not None
 
 
+def test_backward_frees_intermediate_gradients():
+    rng = Rng(4)
+    x = Tensor(rng.normal_array(6), requires_grad=True)
+    w = Tensor(rng.normal_array(6), requires_grad=True)
+    seen = []
+
+    def probe(a):
+        # identity node that keeps a weak reference to the gradient it receives
+        def bw(g):
+            seen.append(weakref.ref(g))
+            a.accumulate_grad(g)
+        return T._node(a.data, (a,), bw)
+
+    gc.disable()
+    try:
+        h = probe(T.mul(x, w))
+        T.tsum(T.mul(h, h)).backward()
+        assert len(seen) == 1 and seen[0]() is None
+        assert h.grad is None
+    finally:
+        gc.enable()
+    assert np.array_equal(x.grad, 2.0 * h.data * w.data)
+    assert np.array_equal(w.grad, 2.0 * h.data * x.data)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(NotScalar):
@@ -279,11 +360,11 @@ def test_composite_gradients_small_graphs():
     c = Tensor(rng.normal_array(25).reshape(5, 5), requires_grad=True)
 
     def f():
-        h = T.matmul(a, c)
+        h = T.einsum("ij,jk->ik", a, c)
         h = T.leaky_relu(h, 0.01)
-        h = T.softmax_lastdim(h)
+        h = T.softmax(h)
         h = T.log(T.clamp_min(h, 1e-12))
-        return T.tmean(T.mul(h, h))
+        return T.mul(T.tsum(T.mul(h, h)), Tensor(1.0 / h.size))
 
     f().backward()
     for p in (a, c):
@@ -305,14 +386,15 @@ def test_upsample_nearest_and_gradient():
     assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-6
 
 
-def test_concat_and_narrow_gradients():
+def test_concat_and_row_selection_gradients():
     rng = Rng(67)
     a = Tensor(rng.normal_array(6).reshape(2, 3), requires_grad=True)
     b = Tensor(rng.normal_array(9).reshape(3, 3), requires_grad=True)
+    rows_1_to_3 = Tensor(np.eye(5)[1:4])
 
     def f():
         cat = T.concat([a, b], axis=0)
-        part = T.narrow(cat, 0, 1, 3)
+        part = T.einsum("ri,ij->rj", rows_1_to_3, cat)
         return T.tsum(T.mul(part, part))
 
     f().backward()
@@ -325,7 +407,7 @@ def test_forward_determinism_bitwise():
         rng = Rng(123)
         x = Tensor(rng.normal_array(64).reshape(4, 16))
         w = T.init_uniform((16, 16), fan_in=16, rng=rng)
-        y = T.softmax_lastdim(T.matmul(x, w))
+        y = T.softmax(T.einsum("ij,jk->ik", x, w))
         return T.dropout(y, 0.25, training=True, rng=rng).data
 
     assert np.array_equal(run(), run())

@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from gasaunet.backbone import make_backbone_config, build_model
 from gasaunet.errors import InvalidEpoch, NonFiniteLoss, VersionMismatch
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
     Checkpoint,
     PreparedCase,
     PreparedData,
@@ -209,6 +213,40 @@ def test_non_finite_checkpoint_tensor_rejected(tmp_path, table):
     getattr(ckpt, table)[name].reshape(-1)[0] = np.nan
     save_checkpoint(ckpt, path)
     with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*{re.escape(table[0] + '.' + name)}"):
+        load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    raw = path.read_bytes()
+    start = len(CKPT_MAGIC) + 12
+    _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
+    blob = json.dumps(edit(json.loads(raw[start : start + hlen]))).encode()
+    path.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob + raw[start + hlen :])
+
+
+def _without(table, key):
+    del table[key]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda h: {"epoch": 0}, "tensors"),
+    (lambda h: [h], "tensors"),
+    (lambda h: {**h, "tensors": {}}, "tensors"),
+    (lambda h: _without(h["tensors"][0], "offset") or h, "offset"),
+    (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": "4"}]}, "shape"),
+    (lambda h: {**h, "tensors": [{**h["tensors"][0], "name": 7}]}, "name"),
+    (lambda h: _without(h, "backbone") or h, "backbone"),
+    (lambda h: _without(h["backbone"], "num_classes") or h, "backbone"),
+    (lambda h: {**h, "epoch": "0"}, "epoch"),
+    (lambda h: _without(h, "rng") or h, "rng"),
+    (lambda h: {**h, "rng": [1]}, "rng"),
+    (lambda h: {**h, "extra": []}, "extra"),
+])
+def test_malformed_checkpoint_header_names_file_and_field(tmp_path, edit, field):
+    path = tmp_path / "model.ckpt"
+    _saved_untrained_checkpoint(path)
+    _rewrite_header(path, edit)
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*'{field}'"):
         load_checkpoint(path)
 
 
