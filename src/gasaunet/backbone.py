@@ -4,8 +4,9 @@ bottleneck.
 Encoder stages are strided 3x3x3 conv blocks (instance norm + leaky ReLU);
 the large variant appends residual blocks per stage. The attention block sits
 between encoder and decoder and widens the bottleneck by 3*d_model channels;
-the decoder upsamples with nearest-neighbor + 1x1x1 conv, concatenates the
-encoder skip, and refines with one 3x3x3 conv block.
+the decoder reduces the channels with a 1x1x1 conv block, upsamples
+nearest-neighbor, concatenates the encoder skip, and refines with one 3x3x3
+conv block.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ class ConvBlock:
 
     def forward(self, x: Tensor) -> Tensor:
         h = T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
-        h = T.instance_norm(h, self.gamma, self.beta)
-        return T.leaky_relu(h, LEAKY_SLOPE)
+        return T.instance_norm(h, self.gamma, self.beta, LEAKY_SLOPE)
 
     def named_params(self, prefix: str):
         yield f"{prefix}.w", self.w
@@ -133,7 +133,7 @@ class ResBlock:
 
     def forward(self, x: Tensor) -> Tensor:
         h = T.conv3d(x, self.w1, self.b1, padding=(1, 1, 1))
-        h = T.leaky_relu(T.instance_norm(h, self.g1, self.be1), LEAKY_SLOPE)
+        h = T.instance_norm(h, self.g1, self.be1, LEAKY_SLOPE)
         h = T.conv3d(h, self.w2, self.b2, padding=(1, 1, 1))
         h = T.instance_norm(h, self.g2, self.be2)
         return T.leaky_relu(T.add(h, x), LEAKY_SLOPE)
@@ -195,8 +195,11 @@ class GasaUNet:
             h = gasa.gasa_forward(h, self.gasa, self.cfg.gasa, training=training, rng=rng)
         n_stages = len(self.cfg.stage_channels)
         for idx, lvl in enumerate(range(n_stages - 2, -1, -1)):
-            h = T.upsample_nearest(h, self.cfg.downsample_strides[lvl + 1])
+            # The 1x1x1 conv, the leaky ReLU and the instance-norm statistics
+            # all commute with integer nearest upsampling, so reducing first
+            # gives the same result on 1/8 of the voxels.
             h = self.reduce[idx].forward(h)
+            h = T.upsample_nearest(h, self.cfg.downsample_strides[lvl + 1])
             h = T.concat([h, skips[lvl]], axis=0)
             h = self.post[idx].forward(h)
         return T.conv3d(h, self.head_w, self.head_b)
@@ -205,8 +208,9 @@ class GasaUNet:
         return self.forward(x, training=training, rng=rng)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        """Inference helper: numpy in, numpy out, no dropout."""
-        return self.forward(Tensor(x)).data
+        """Inference helper: numpy in, numpy out, no dropout, no graph."""
+        with T.no_grad():
+            return self.forward(Tensor(x)).data
 
     # -- parameter registry ----------------------------------------------------
 
@@ -312,9 +316,8 @@ def count_model_flops(cfg: BackboneConfig, input_shape: tuple[int, int, int]) ->
         total += gasa_flops(cfg.gasa)
     prev = ch[-1] + (3 * cfg.gasa.d_model if cfg.gasa is not None else 0)
     for lvl in range(n_stages - 2, -1, -1):
-        vox = sizes[lvl][1]
-        total += conv_flops(prev, ch[lvl], 1, vox)
-        total += conv_flops(2 * ch[lvl], ch[lvl], 3, vox)
+        total += conv_flops(prev, ch[lvl], 1, sizes[lvl + 1][1])  # reduce runs before upsampling
+        total += conv_flops(2 * ch[lvl], ch[lvl], 3, sizes[lvl][1])
         prev = ch[lvl]
     total += conv_flops(ch[0], cfg.num_classes, 1, sizes[0][1])
     return total

@@ -25,13 +25,13 @@ from .phantom import PhantomSpec, load_manifest, make_dataset
 from .tensor import Rng
 from .training import (
     TrainConfig,
+    eval_fingerprint,
     load_checkpoint,
     model_from_checkpoint,
     preprocess_manifest,
     save_checkpoint,
     train,
 )
-from .volume import NormStats
 
 
 class UsageError(Exception):
@@ -253,16 +253,10 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     ckpts = [load_checkpoint(p) for p in args.ckpt]
     models = [model_from_checkpoint(c) for c in ckpts]
+    patch, stats, spacing = eval_fingerprint(ckpts[0], args.ckpt[0])
     manifest, root = load_manifest(args.data)
-    patch = tuple(ckpts[0].extra["patch_size"])
     # preprocess with the training-time fingerprint, not one recomputed here
-    data = preprocess_manifest(
-        manifest,
-        root,
-        patch,
-        stats=NormStats.from_dict(ckpts[0].extra["stats"]),
-        spacing=tuple(ckpts[0].extra["spacing"]),
-    )
+    data = preprocess_manifest(manifest, root, patch, stats=stats, spacing=spacing)
 
     swc = SlidingWindowConfig(patch_size=patch, tta_mirror=bool(cfg["eval"]["tta"]))
     hec = kits_hec(data.num_classes) if cfg["eval"]["hec"] == "kits" else None

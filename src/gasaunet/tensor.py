@@ -6,11 +6,13 @@ them. A closure receives that gradient as its argument and never refers to
 its own output, so the graph has no cycles and a graph that is dropped
 without a backward pass is freed by reference counting. backward() seeds
 the scalar root with 1 and replays the closures in reverse topological
-order. Everything is float64; there is no device or dtype story beyond that.
+order. Inside a no_grad() block ops record no graph at all. Everything is
+float64; there is no device or dtype story beyond that.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -99,10 +101,10 @@ class Rng:
 class Tensor:
     """Float64 array plus gradient bookkeeping.
 
-    grad is allocated lazily on first accumulation. Intermediate tensors keep
-    references to their parents and a backward closure until backward()
-    consumes them; leaves keep neither, and only leaves keep a grad after
-    backward().
+    grad is the first gradient received, kept as given; later ones are
+    added into a new array. Intermediate tensors keep references to their
+    parents and a backward closure until backward() consumes them; leaves
+    keep neither, and only leaves keep a grad after backward().
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -132,9 +134,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def accumulate_grad(self, g: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Never in place: a closure may hand the same array to several
+        # parents. The first gradient is kept as given, so closures hand over
+        # contiguous arrays for weights (strided ones slow the optimizer).
+        self.grad = np.asarray(g) if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -220,10 +223,27 @@ def tensor_new(shape: Sequence[int], values: Sequence[float], requires_grad: boo
     return Tensor(vals.reshape(shape), requires_grad=requires_grad)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Block in which ops record no graph: results need no gradient and keep
+    no parents, closures or backward buffers. The previous mode is restored
+    on exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: Array, parents: Iterable[Tensor], backward: Callable[[Array], None]) -> Tensor:
-    """Result tensor; records the graph edge only when a parent needs grads."""
+    """Result tensor; records the graph edge only when a parent needs grads
+    and recording is not switched off by no_grad()."""
     parents = tuple(parents)
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -423,7 +443,8 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
             if t.requires_grad:
                 rest = [j for j in range(len(operands)) if j != i]
                 spec_i = ",".join([out_idx] + [terms[j] for j in rest]) + "->" + terms[i]
-                t.accumulate_grad(np.einsum(spec_i, g, *(operands[j].data for j in rest), optimize=True))
+                gi = np.einsum(spec_i, g, *(operands[j].data for j in rest), optimize=True)
+                t.accumulate_grad(np.ascontiguousarray(gi))
 
     return _node(out_data, operands, bw)
 
@@ -449,22 +470,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 _NORM_EPS = 1e-5
 
 
-def _normalize(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over the given axes (population variance)."""
-    mu = a.data.mean(axis=axes, keepdims=True)
-    var = a.data.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
-    y = (a.data - mu) * inv_std
-
-    def bw(g):
-        if a.requires_grad:
-            gm = g.mean(axis=axes, keepdims=True)
-            gym = (g * y).mean(axis=axes, keepdims=True)
-            a.accumulate_grad(inv_std * (g - gm - y * gym))
-
-    return _node(y, (a,), bw)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then apply the per-feature affine."""
     d = x.shape[-1]
@@ -472,11 +477,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"layer_norm affine must have shape ({d},), got {gamma.shape}/{beta.shape}"
         )
-    return add(mul(_normalize(x, (-1,)), gamma), beta)
+    rows = reshape(x, (-1, d, 1, 1))
+    n = rows.shape[0]
+    y = reshape(instance_norm(rows, Tensor(np.ones(n)), Tensor(np.zeros(n))), x.shape)
+    return add(mul(y, gamma), beta)
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel normalization of a [C, W, H, D] tensor over its spatial axes."""
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, slope: float | None = None) -> Tensor:
+    """Per-channel normalization of a [C, W, H, D] tensor over its spatial
+    axes (population variance), the per-channel affine and, when slope is
+    given, a leaky ReLU, as one node.
+
+    With y the normalized input and g the gradient after the activation, the
+    backward pass reuses the per-channel sums dbeta = sum(g) and
+    dgamma = sum(g*y): dx = gamma*inv_std*(g - dbeta/N - y*dgamma/N).
+    """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"instance_norm expects [C,W,H,D], got {x.shape}")
     c = x.shape[0]
@@ -484,9 +499,37 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"instance_norm affine must have shape ({c},), got {gamma.shape}/{beta.shape}"
         )
-    g = reshape(gamma, (c, 1, 1, 1))
-    b = reshape(beta, (c, 1, 1, 1))
-    return add(mul(_normalize(x, (1, 2, 3)), g), b)
+    n = x.size // c
+    per_channel = (c, 1, 1, 1)
+    y = x.data - x.data.mean(axis=(1, 2, 3), keepdims=True)
+    flat = y.reshape(c, n)
+    inv_std = 1.0 / np.sqrt(np.einsum("cn,cn->c", flat, flat) / n + _NORM_EPS)
+    y *= inv_std.reshape(per_channel)
+    out_data = y * gamma.data.reshape(per_channel)
+    out_data += beta.data.reshape(per_channel)
+    if slope is not None:
+        neg = out_data <= 0
+        np.multiply(out_data, slope, out=out_data, where=neg)
+
+    def bw(g):
+        if slope is not None:
+            g = g.copy()
+            np.multiply(g, slope, out=g, where=neg)
+        g_flat = g.reshape(c, n)
+        dbeta = g_flat.sum(axis=1)
+        dgamma = np.einsum("cn,cn->c", g_flat, flat)
+        if gamma.requires_grad:
+            gamma.accumulate_grad(dgamma)
+        if beta.requires_grad:
+            beta.accumulate_grad(dbeta)
+        if x.requires_grad:
+            dx = y * (-dgamma / n).reshape(per_channel)
+            dx += g
+            dx -= (dbeta / n).reshape(per_channel)
+            dx *= (gamma.data * inv_std).reshape(per_channel)
+            x.accumulate_grad(dx)
+
+    return _node(out_data, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +633,7 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
             for lo, hi in blocks:
                 for k, off in enumerate(offsets):
                     dwk[k] += g[:, lo:hi] @ xf[:, off + lo : off + hi].T
-            dw = dwk.transpose(1, 2, 0).reshape(wd.shape)
+            dw = np.ascontiguousarray(dwk.transpose(1, 2, 0)).reshape(wd.shape)
         if need_x:
             dxf = np.zeros_like(xf)
             for lo, hi in blocks:

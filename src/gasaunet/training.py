@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -132,7 +133,12 @@ def checkpoint_from_model(
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """magic + version + JSON header + concatenated float64 payloads."""
+    """magic + version + JSON header + concatenated float64 payloads.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` in one step: a save that fails part-way leaves an earlier
+    checkpoint at `path` intact and no temporary file behind.
+    """
     tensors: list[tuple[str, np.ndarray]] = [(f"p.{k}", v) for k, v in ckpt.params.items()]
     tensors += [(f"m.{k}", v) for k, v in ckpt.momentum.items()]
     table = []
@@ -148,12 +154,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "tensors": table,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
+            fh.write(blob)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _header_field(path, table, key: str, kind: type, where: str = "header"):
@@ -223,6 +236,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         rng_state=rng_state,
         extra=_header_field(path, header, "extra", dict) if "extra" in header else {},
     )
+
+
+def eval_fingerprint(ckpt: Checkpoint, path: str | Path) -> tuple[tuple[int, ...], NormStats, tuple[float, ...]]:
+    """The patch size, intensity statistics and target spacing that train()
+    stores in `extra`; a field that is missing or malformed raises
+    VersionMismatch naming the file and the field."""
+    extra = ckpt.extra
+    patch = _int_list(path, extra, "patch_size", "extra")
+    stats = _header_field(path, extra, "stats", dict, "extra")
+    spacing = _header_field(path, extra, "spacing", list, "extra")
+    stat_keys = ("p_lo", "p_hi", "mean", "std")
+    if len(patch) != 3 or 0 in patch:
+        raise VersionMismatch(f"{path}: checkpoint extra field 'patch_size' must hold 3 positive integers")
+    if not all(type(stats.get(k)) in (int, float) for k in stat_keys):
+        raise VersionMismatch(f"{path}: checkpoint extra field 'stats' must hold numbers {', '.join(stat_keys)}")
+    if len(spacing) != 3 or not all(type(v) in (int, float) and v > 0 for v in spacing):
+        raise VersionMismatch(f"{path}: checkpoint extra field 'spacing' must hold 3 positive numbers")
+    return tuple(patch), NormStats.from_dict(stats), tuple(float(v) for v in spacing)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> GasaUNet:
@@ -351,13 +382,23 @@ def train(
     cfg.epochs fixes the decay horizon; stop_epoch interrupts early so the
     run can be checkpointed and resumed on the identical trajectory. Returns
     the final checkpoint and the per-epoch log (epoch, lr, loss, seconds).
-    A non-finite loss raises NonFiniteLoss before its backward pass.
+    A non-finite loss raises NonFiniteLoss before its backward pass; resume
+    momentum that does not match the model's parameters by name and shape
+    raises VersionMismatch before the first step.
     """
     cfg.validate()
     if not data.train:
         raise ValueError("training split is empty")
     named = list(model.named_params())
     if resume is not None:
+        for name, p in named:
+            v = resume.momentum.get(name)
+            if v is None or v.shape != p.shape:
+                found = "missing" if v is None else f"shaped {v.shape}"
+                raise VersionMismatch(f"resume momentum for parameter {name} is {found}, parameter is shaped {p.shape}")
+        unknown = sorted(set(resume.momentum) - {name for name, _ in named})
+        if unknown:
+            raise VersionMismatch(f"resume momentum for {unknown[0]} names no parameter of the model")
         momentum = {k: v.copy() for k, v in resume.momentum.items()}
         rng = Rng.from_state(resume.rng_state)
         start_epoch = resume.epoch

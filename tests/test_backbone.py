@@ -1,9 +1,11 @@
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gasaunet import gasa
 from gasaunet import tensor as T
 from gasaunet.backbone import (
     BackboneConfig,
@@ -18,7 +20,10 @@ from gasaunet.errors import InvalidConfig, ShapeMismatch
 from gasaunet.gasa import GasaConfig, count_gasa_params
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
+from gasaunet.training import load_checkpoint, model_from_checkpoint
 from gasaunet.verify import fd_grad, max_rel_err
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_cfg(gasa_enabled=True, **kw) -> BackboneConfig:
@@ -161,7 +166,7 @@ def _default_16cube():
 def test_graph_size_per_training_sample():
     model, x, onehot = _default_16cube()
     loss = soft_dice_ce_loss(model.forward(x, training=True, rng=Rng(2)), onehot)
-    assert len(_graph_nodes(loss)) <= 130
+    assert len(_graph_nodes(loss)) <= 80
 
 
 def test_forward_only_graph_freed_without_cyclic_gc():
@@ -193,3 +198,78 @@ def test_flops_gasa_delta_positive():
     on = count_model_flops(tiny_cfg(gasa_enabled=True), (4, 4, 4))
     off = count_model_flops(tiny_cfg(gasa_enabled=False), (4, 4, 4))
     assert on > off
+
+
+def test_model_flops_count_reduce_at_the_coarse_grid():
+    cfg = tiny_cfg(gasa_enabled=False)  # stages (2, 3), 4^3 input, 2^3 bottleneck
+    expected = (
+        conv_flops(1, 2, 3, 64) + conv_flops(2, 2, 3, 64)
+        + conv_flops(2, 3, 3, 8) + conv_flops(3, 3, 3, 8)
+        + conv_flops(3, 2, 1, 8)       # dec0.reduce, before upsampling
+        + conv_flops(4, 2, 3, 64)      # dec0.post
+        + conv_flops(2, 2, 1, 64)      # head
+    )
+    assert count_model_flops(cfg, (4, 4, 4)) == expected
+
+
+def _randomized(model, seed):
+    """Perturb every parameter so norms, affines and activations all matter."""
+    rng = Rng(seed)
+    for _, p in model.named_params():
+        p.data += 0.5 * rng.normal_array(p.size).reshape(p.shape)
+    return model
+
+
+def _upsample_then_reduce(model, x):
+    """The decoder in its original order: nearest upsampling, then the 1x1x1 reduce."""
+    skips, h = [], x
+    for blocks in model.encoder:
+        for blk in blocks:
+            h = blk.forward(h)
+        skips.append(h)
+    h = gasa.gasa_forward(h, model.gasa, model.cfg.gasa)
+    n_stages = len(model.cfg.stage_channels)
+    for idx, lvl in enumerate(range(n_stages - 2, -1, -1)):
+        h = T.upsample_nearest(h, model.cfg.downsample_strides[lvl + 1])
+        h = model.reduce[idx].forward(h)
+        h = T.concat([h, skips[lvl]], axis=0)
+        h = model.post[idx].forward(h)
+    return T.conv3d(h, model.head_w, model.head_b)
+
+
+def test_reduce_before_upsampling_matches_original_decoder_order():
+    model, x, onehot = _default_16cube()
+    _randomized(model, 3)
+
+    def logits_and_grads(forward):
+        model.zero_grads()
+        logits = forward(x)
+        soft_dice_ce_loss(logits, onehot).backward()
+        return logits.data, {name: p.grad for name, p in model.named_params()}
+
+    ref_logits, ref_grads = logits_and_grads(lambda inp: _upsample_then_reduce(model, inp))
+    logits, grads = logits_and_grads(model.forward)
+    assert np.allclose(logits, ref_logits, rtol=0, atol=1e-12)
+    for name, g in ref_grads.items():
+        assert np.allclose(grads[name], g, rtol=0, atol=1e-12), name
+
+
+def test_checkpoint_saved_with_upsample_then_reduce_predicts_the_same():
+    # checkpoint and logits written by the code that ran the 1x1x1 reduce after upsampling
+    model = model_from_checkpoint(load_checkpoint(DATA / "decoder_upsample_first.ckpt"))
+    x = Rng(13).normal_array(8 ** 3).reshape(1, 8, 8, 8)
+    expected = np.load(DATA / "decoder_upsample_first_logits.npy")
+    assert np.allclose(model.predict_logits(x), expected, rtol=0, atol=1e-10)
+
+
+def test_predict_logits_is_forward_without_a_graph():
+    model, x, _ = _default_16cube()
+    reference = model.forward(x).data
+    seen = []
+    forward = model.forward
+    model.forward = lambda inp, **kw: seen.append(forward(inp, **kw)) or seen[-1]
+    assert np.array_equal(model.predict_logits(x.data), reference)
+    assert not seen[0].requires_grad and seen[0]._parents == () and seen[0]._backward is None
+    with pytest.raises(ShapeMismatch):
+        model.predict_logits(x.data[:, :8])
+    assert model.forward(x)._parents  # the graph is recorded again after the error

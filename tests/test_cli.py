@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+from gasaunet.backbone import build_model, make_backbone_config
 from gasaunet.cli import main
-from gasaunet.training import CKPT_MAGIC, CKPT_VERSION
+from gasaunet.tensor import Rng
+from gasaunet.training import CKPT_MAGIC, CKPT_VERSION, checkpoint_from_model, save_checkpoint
 
 
 def run(argv):
@@ -84,6 +86,22 @@ def test_eval_malformed_checkpoint_header_exits_2(tmp_path, capsys):
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "'tensors'" in err
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({}, "patch_size"),
+    ({"patch_size": [8, 8, 8]}, "stats"),
+    ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0, "p_hi": 1.0, "mean": 0.0, "std": 1.0}}, "spacing"),
+    ({"patch_size": [8, 8], "stats": {}, "spacing": [1.0, 1.0, 1.0]}, "patch_size"),
+    ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0}, "spacing": [1.0, 1.0, 1.0]}, "stats"),
+])
+def test_eval_checkpoint_without_training_fingerprint_exits_2(tmp_path, capsys, extra, field):
+    cfg = make_backbone_config(1, 3, (8, 8, 8), stage_channels=(2, 4, 8), d_model=2, heads=1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(cfg, Rng(0)), {}, 0, Rng(0), extra), ckpt)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"extra field {field!r}" in err
 
 
 def test_train_outputs(trained):

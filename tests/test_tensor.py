@@ -427,3 +427,46 @@ def test_rng_state_roundtrip():
     r.normal_array(3)
     clone = Rng.from_state(r.state)
     assert np.array_equal(r.uniform_array(4), clone.uniform_array(4))
+
+
+def test_no_grad_records_no_graph_and_restores_the_mode():
+    x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+    with T.no_grad():
+        y = T.mul(x, x)
+        with T.no_grad():
+            pass
+        z = T.add(y, x)  # still inside the outer block after the inner one exits
+    for t in (y, z):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    assert np.array_equal(z.data, x.data * x.data + x.data)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("fails inside the block")
+    w = T.mul(x, x)
+    assert w.requires_grad and w._parents == (x, x)
+
+
+def test_gradient_of_a_tensor_used_twice():
+    rng = Rng(71)
+    x = Tensor(rng.normal_array(5), requires_grad=True)
+    coef = rng.normal_array(5)
+    T.tsum(T.mul(T.add(x, x), Tensor(coef))).backward()
+    assert np.array_equal(x.grad, 2.0 * coef)
+    y = Tensor(rng.normal_array(5), requires_grad=True)
+    T.tsum(T.mul(y, y)).backward()
+    assert np.array_equal(y.grad, 2.0 * y.data)
+
+
+def test_gradient_hand_off_never_aliases_two_leaves():
+    # add() hands one array to both leaves; a later sweep that reaches only
+    # `a` must accumulate into `a` without changing `b`
+    rng = Rng(73)
+    a = Tensor(rng.normal_array(4), requires_grad=True)
+    b = Tensor(rng.normal_array(4), requires_grad=True)
+    c1, c2 = rng.normal_array(4), rng.normal_array(4)
+    T.tsum(T.mul(T.add(a, b), Tensor(c1))).backward()
+    assert np.array_equal(a.grad, c1) and np.array_equal(b.grad, c1)
+    T.tsum(T.mul(a, Tensor(c2))).backward()
+    assert np.array_equal(a.grad, c1 + c2)
+    assert np.array_equal(b.grad, c1)
+

@@ -279,3 +279,34 @@ def test_preprocess_uses_supplied_fingerprint(tmp_path):
     raw = read_volume(root / manifest["cases"][0]["image"]).data
     assert np.allclose(forced.train[0].image, raw / 2.0)
     assert not np.allclose(auto.train[0].image, forced.train[0].image)
+
+
+@pytest.mark.parametrize("edit", ["missing", "misshaped", "unknown"])
+def test_resume_momentum_mismatch_stops_before_the_first_step(edit):
+    data = tiny_data()
+    ckpt, _ = train(tiny_model(), data, tiny_train_cfg(epochs=2), stop_epoch=1)
+    if edit == "missing":
+        del ckpt.momentum["head.b"]
+    elif edit == "misshaped":
+        ckpt.momentum["head.b"] = np.zeros(7)
+    else:
+        ckpt.momentum["head.extra"] = np.zeros(2)
+    model = model_from_checkpoint(ckpt)
+    before = {name: p.data.copy() for name, p in model.named_params()}
+    with pytest.raises(VersionMismatch, match="head.extra" if edit == "unknown" else "head.b"):
+        train(model, data, tiny_train_cfg(epochs=2), resume=ckpt)
+    for name, p in model.named_params():
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt = _saved_untrained_checkpoint(path)
+    saved = path.read_bytes()
+    # a tensor that cannot be written as float64 makes the save fail after
+    # the header and the parameters are written
+    ckpt.momentum["unwritable"] = np.array([object()], dtype=object)
+    with pytest.raises(TypeError):
+        save_checkpoint(ckpt, path)
+    assert path.read_bytes() == saved
+    assert list(tmp_path.iterdir()) == [path]
