@@ -6,7 +6,8 @@ the large variant appends residual blocks per stage. The attention block sits
 between encoder and decoder and widens the bottleneck by 3*d_model channels;
 the decoder reduces the channels with a 1x1x1 conv block, upsamples
 nearest-neighbor, concatenates the encoder skip, and refines with one 3x3x3
-conv block.
+conv block. Only the head conv has a bias: an instance norm subtracts each
+channel's mean, which would cancel a bias in front of it.
 """
 
 from __future__ import annotations
@@ -95,52 +96,39 @@ def make_backbone_config(
 
 
 class ConvBlock:
-    """conv(k^3, same padding unless k=1) -> instance norm -> leaky ReLU."""
+    """conv(k^3, same padding unless k=1, no bias) -> instance norm -> leaky ReLU."""
 
     def __init__(self, cin: int, cout: int, rng: Rng, stride=(1, 1, 1), kernel: int = 3):
         k = kernel
         self.stride = tuple(stride)
         self.padding = (k // 2,) * 3
         self.w = T.init_uniform((cout, cin, k, k, k), fan_in=cin * k ** 3, rng=rng)
-        self.b = T.zeros([cout], requires_grad=True)
         self.gamma = Tensor(np.ones(cout), requires_grad=True)
         self.beta = T.zeros([cout], requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        h = T.conv3d(x, self.w, stride=self.stride, padding=self.padding)
         return T.instance_norm(h, self.gamma, self.beta, LEAKY_SLOPE)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
 
 class ResBlock:
-    """Two 3x3x3 conv+norm layers with an additive skip."""
+    """Two 3x3x3 conv+norm layers (no conv bias) with an additive skip."""
 
     def __init__(self, channels: int, rng: Rng):
         c = channels
         self.w1 = T.init_uniform((c, c, 3, 3, 3), fan_in=c * 27, rng=rng)
-        self.b1 = T.zeros([c], requires_grad=True)
         self.g1 = Tensor(np.ones(c), requires_grad=True)
         self.be1 = T.zeros([c], requires_grad=True)
         self.w2 = T.init_uniform((c, c, 3, 3, 3), fan_in=c * 27, rng=rng)
-        self.b2 = T.zeros([c], requires_grad=True)
         self.g2 = Tensor(np.ones(c), requires_grad=True)
         self.be2 = T.zeros([c], requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.conv3d(x, self.w1, self.b1, padding=(1, 1, 1))
+        h = T.conv3d(x, self.w1, padding=(1, 1, 1))
         h = T.instance_norm(h, self.g1, self.be1, LEAKY_SLOPE)
-        h = T.conv3d(h, self.w2, self.b2, padding=(1, 1, 1))
+        h = T.conv3d(h, self.w2, padding=(1, 1, 1))
         h = T.instance_norm(h, self.g2, self.be2)
         return T.leaky_relu(T.add(h, x), LEAKY_SLOPE)
-
-    def named_params(self, prefix: str):
-        for name in ("w1", "b1", "g1", "be1", "w2", "b2", "g2", "be2"):
-            yield f"{prefix}.{name}", getattr(self, name)
 
 
 class GasaUNet:
@@ -217,12 +205,12 @@ class GasaUNet:
     def named_params(self):
         for i, blocks in enumerate(self.encoder):
             for j, blk in enumerate(blocks):
-                yield from blk.named_params(f"enc{i}.{j}")
+                yield from T.named_tensors(blk, f"enc{i}.{j}")
         if self.gasa is not None:
             yield from self.gasa.named("gasa")
-        for idx in range(len(self.reduce)):
-            yield from self.reduce[idx].named_params(f"dec{idx}.reduce")
-            yield from self.post[idx].named_params(f"dec{idx}.post")
+        for idx, (reduce, post) in enumerate(zip(self.reduce, self.post)):
+            yield from T.named_tensors(reduce, f"dec{idx}.reduce")
+            yield from T.named_tensors(post, f"dec{idx}.post")
         yield "head.w", self.head_w
         yield "head.b", self.head_b
 
@@ -241,7 +229,7 @@ def build_model(cfg: BackboneConfig, rng: Rng) -> GasaUNet:
 
 
 def conv_param_count(cin: int, cout: int, kernel: int) -> int:
-    return cout * cin * kernel ** 3 + cout
+    return cout * cin * kernel ** 3
 
 
 def count_model_params(cfg: BackboneConfig) -> int:
@@ -265,13 +253,13 @@ def count_model_params(cfg: BackboneConfig) -> int:
         total += conv_param_count(prev, ch[lvl], 1) + 2 * ch[lvl]
         total += conv_param_count(2 * ch[lvl], ch[lvl], 3) + 2 * ch[lvl]
         prev = ch[lvl]
-    total += conv_param_count(ch[0], cfg.num_classes, 1)
+    total += conv_param_count(ch[0], cfg.num_classes, 1) + cfg.num_classes  # head and its bias
     return total
 
 
 def conv_flops(cin: int, cout: int, kernel: int, out_voxels: int) -> int:
-    """Multiply-adds as 2 ops plus one add per bias application."""
-    return out_voxels * cout * (2 * cin * kernel ** 3) + out_voxels * cout
+    """Multiply-adds of a conv without bias, 2 ops each."""
+    return out_voxels * cout * (2 * cin * kernel ** 3)
 
 
 def matmul_flops(m: int, k: int, n: int) -> int:
@@ -319,5 +307,5 @@ def count_model_flops(cfg: BackboneConfig, input_shape: tuple[int, int, int]) ->
         total += conv_flops(prev, ch[lvl], 1, sizes[lvl + 1][1])  # reduce runs before upsampling
         total += conv_flops(2 * ch[lvl], ch[lvl], 3, sizes[lvl][1])
         prev = ch[lvl]
-    total += conv_flops(ch[0], cfg.num_classes, 1, sizes[0][1])
+    total += conv_flops(ch[0], cfg.num_classes, 1, sizes[0][1]) + cfg.num_classes * sizes[0][1]  # head, bias adds
     return total

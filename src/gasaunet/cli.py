@@ -2,9 +2,10 @@
 
 Configuration comes from built-in defaults, optionally a JSON config file
 (unknown keys rejected), then command-line flags, in that order of
-precedence. Every command is deterministic given config + seed; outputs go
-to the --out directory. Exit codes: 0 ok, 1 usage, 2 runtime failure,
-3 verification failure.
+precedence. A flag that sets a config value has that value's dotted path as
+its argparse dest: `--iters` sets `train.iters_per_epoch`. Every command is
+deterministic given config + seed; outputs go to the --out directory. Exit
+codes: 0 ok, 1 usage, 2 runtime failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -104,39 +105,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         cfg = _merge(cfg, loaded)
 
-    def override(path: tuple[str, ...], value):
-        if value is None:
-            return
+    for dest, value in vars(args).items():
+        *sections, key = dest.split(".")
         node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-
-    override(("seed",), getattr(args, "seed", None))
-    override(("phantom", "size"), getattr(args, "size", None))
-    override(("phantom", "classes"), getattr(args, "classes", None))
-    override(("phantom", "cases"), getattr(args, "cases", None))
-    override(("phantom", "test_cases"), getattr(args, "test_cases", None))
-    override(("phantom", "noise_sigma"), getattr(args, "noise", None))
-    override(("model", "variant"), getattr(args, "variant", None))
-    override(("model", "pe"), getattr(args, "pe", None))
-    override(("model", "heads"), getattr(args, "heads", None))
-    override(("model", "dmodel"), getattr(args, "dmodel", None))
-    override(("train", "epochs"), getattr(args, "epochs", None))
-    override(("ablate", "epochs"), getattr(args, "ablate_epochs", None))
-    override(("train", "iters_per_epoch"), getattr(args, "iters", None))
-    override(("train", "batch"), getattr(args, "batch", None))
-    override(("train", "patch"), getattr(args, "patch", None))
-    override(("eval", "tau"), getattr(args, "tau", None))
-    override(("eval", "hec"), getattr(args, "hec", None))
-    gasa = getattr(args, "gasa", None)
-    if gasa is not None:
-        cfg["model"]["gasa"] = gasa == "on"
-    layernorm = getattr(args, "layernorm", None)
-    if layernorm is not None:
-        cfg["model"]["layernorm"] = layernorm == "on"
-    if getattr(args, "tta", False):
-        cfg["eval"]["tta"] = True
+        for section in sections:
+            node = node[section]
+        if value is not None and key in node:
+            node[key] = value
     return cfg
 
 
@@ -201,11 +176,7 @@ def cmd_train(args) -> int:
     if _maybe_print_config(args, cfg):
         return 0
     out = _out_dir(args)
-    manifest, root = load_manifest(args.data)
     patch = (cfg["train"]["patch"],) * 3
-    data = preprocess_manifest(manifest, root, patch)
-    model_cfg = _model_config_from(cfg, patch, data.num_classes)
-    model = build_model(model_cfg, Rng(cfg["seed"]))
     tcfg = TrainConfig(
         lr0=cfg["train"]["lr0"],
         momentum=cfg["train"]["momentum"],
@@ -216,6 +187,11 @@ def cmd_train(args) -> int:
         seed=cfg["seed"],
         poly_exponent=cfg["train"]["poly_exponent"],
     )
+    tcfg.validate()
+    manifest, root = load_manifest(args.data)
+    data = preprocess_manifest(manifest, root, patch)
+    model_cfg = _model_config_from(cfg, patch, data.num_classes)
+    model = build_model(model_cfg, Rng(cfg["seed"]))
     print(f"training {model_cfg.variant} model, {count_model_params(model_cfg)} parameters, "
           f"{tcfg.epochs} epochs x {tcfg.iters_per_epoch} iters")
     log_path = out / "train_log.jsonl"
@@ -364,6 +340,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'on', 'off')")
+    return text == "on"
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory")
@@ -377,41 +359,41 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic phantom dataset")
     _add_common(p)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--test-cases", dest="test_cases", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--noise", type=float)
+    p.add_argument("--cases", dest="phantom.cases", type=int)
+    p.add_argument("--test-cases", dest="phantom.test_cases", type=int)
+    p.add_argument("--classes", dest="phantom.classes", type=int)
+    p.add_argument("--size", dest="phantom.size", type=int)
+    p.add_argument("--noise", dest="phantom.noise_sigma", type=float)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="preprocess and train")
     _add_common(p)
     p.add_argument("--data", required=False, help="dataset directory or manifest path")
-    p.add_argument("--variant", choices=["base", "large"])
-    p.add_argument("--gasa", choices=["on", "off"])
-    p.add_argument("--pe", choices=list(PE_MODES))
-    p.add_argument("--heads", type=int)
-    p.add_argument("--dmodel", type=int)
-    p.add_argument("--layernorm", choices=["on", "off"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--patch", type=int)
+    p.add_argument("--variant", dest="model.variant", choices=["base", "large"])
+    p.add_argument("--gasa", dest="model.gasa", type=_on_off, metavar="{on,off}")
+    p.add_argument("--pe", dest="model.pe", choices=list(PE_MODES))
+    p.add_argument("--heads", dest="model.heads", type=int)
+    p.add_argument("--dmodel", dest="model.dmodel", type=int)
+    p.add_argument("--layernorm", dest="model.layernorm", type=_on_off, metavar="{on,off}")
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--iters", dest="train.iters_per_epoch", type=int)
+    p.add_argument("--batch", dest="train.batch", type=int)
+    p.add_argument("--patch", dest="train.patch", type=int)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="sliding-window evaluation of checkpoint(s)")
     _add_common(p)
     p.add_argument("--ckpt", nargs="+", help="checkpoint path(s); several are softmax-averaged")
     p.add_argument("--data", required=False)
-    p.add_argument("--tta", action="store_true")
-    p.add_argument("--hec", choices=["none", "kits"])
-    p.add_argument("--tau", type=float)
+    p.add_argument("--tta", dest="eval.tta", action="store_const", const=True)
+    p.add_argument("--hec", dest="eval.hec", choices=["none", "kits"])
+    p.add_argument("--tau", dest="eval.tau", type=float)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="heads/dim x positional-embedding sweep")
     _add_common(p)
     p.add_argument("--data", required=False)
-    p.add_argument("--epochs", type=int, dest="ablate_epochs")
+    p.add_argument("--epochs", dest="ablate.epochs", type=int)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("verify", help="run the self-check oracles")

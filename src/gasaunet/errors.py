@@ -42,7 +42,8 @@ class InvalidEpoch(GasaUNetError):
 
 
 class FormatError(GasaUNetError):
-    """On-disk volume is malformed (bad magic, truncated payload, bad header)."""
+    """On-disk volume or dataset manifest is malformed (bad magic, truncated
+    payload, bad header or field)."""
 
 
 class VersionMismatch(GasaUNetError):

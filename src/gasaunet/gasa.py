@@ -57,7 +57,7 @@ class GasaConfig:
 
 @dataclass
 class GasaParams:
-    """Learnable state of one block; field order fixes the checkpoint layout."""
+    """Learnable state of one block; field order fixes the checkpoint layout; pe is None in pe_mode "none"."""
 
     proj_w: Tensor
     proj_w_b: Tensor
@@ -73,13 +73,11 @@ class GasaParams:
     bv: Tensor
     wo: Tensor
     bo: Tensor
-    pe: Tensor
+    pe: Tensor | None = None
     ln: dict[str, Tensor] = field(default_factory=dict)
 
     def named(self, prefix: str = "gasa"):
-        for name in ("proj_w", "proj_w_b", "proj_h", "proj_h_b", "proj_d", "proj_d_b",
-                     "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "pe"):
-            yield f"{prefix}.{name}", getattr(self, name)
+        yield from T.named_tensors(self, prefix)
         for name in sorted(self.ln):
             yield f"{prefix}.ln.{name}", self.ln[name]
 
@@ -108,7 +106,7 @@ def init_gasa_params(cfg: GasaConfig, rng: Rng) -> GasaParams:
         bv=T.zeros([dm], requires_grad=True),
         wo=T.init_uniform((dm, dm), fan_in=dm, rng=rng),
         bo=T.zeros([dm], requires_grad=True),
-        pe=T.zeros([w + h + d, dm], requires_grad=True),
+        pe=T.zeros([w + h + d, dm], requires_grad=True) if cfg.pe_mode != PE_NONE else None,
     )
     if cfg.use_layer_norm:
         for key in ("q", "k", "v"):
@@ -243,6 +241,6 @@ def count_gasa_params(cfg: GasaConfig) -> int:
     n += 4 * (dm * dm + dm)                             # q, k, v, o projections
     if cfg.use_layer_norm:
         n += 3 * 2 * dm
-    n += (w + h + d) * dm                               # positional table
+    n += (w + h + d) * dm if cfg.pe_mode != PE_NONE else 0  # positional table
     return n
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import FormatError, InvalidSpec
 from .tensor import Rng
 from .volume import Volume, write_volume
 
@@ -161,7 +161,36 @@ def make_dataset(spec: PhantomSpec, n_cases: int, out_dir: str | Path, n_test: i
 
 
 def load_manifest(path: str | Path) -> tuple[dict, Path]:
+    """(manifest, directory its case paths are relative to). Malformed JSON
+    or a missing or mistyped field raises FormatError naming the file and
+    the field."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    return json.loads(path.read_text()), path.parent
+    try:
+        manifest = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from exc
+
+    def bad(field: str, want: str) -> FormatError:
+        return FormatError(f"{path}: manifest field {field!r} must be {want}")
+
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    cases = manifest.get("cases")
+    if not isinstance(cases, list):
+        raise bad("cases", "a list")
+    for i, entry in enumerate(cases):
+        for key in ("image", "labels"):
+            if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+                raise bad(f"cases[{i}].{key}", "a string")
+    spec = manifest.get("spec")
+    num_classes = spec.get("num_classes") if isinstance(spec, dict) else None
+    if type(num_classes) is not int or num_classes < 2:
+        raise bad("spec.num_classes", "an integer >= 2")
+    split = manifest.get("split")
+    for key in ("train", "test"):
+        ids = split.get(key) if isinstance(split, dict) else None
+        if not isinstance(ids, list) or not all(type(i) is int and 0 <= i < len(cases) for i in ids):
+            raise bad(f"split.{key}", f"a list of case indices in [0, {len(cases)})")
+    return manifest, path.parent

@@ -618,7 +618,8 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
         out_block = acc[:, lo:hi]
         for k, off in enumerate(offsets):
             out_block += wk[k] @ xf[:, off + lo : off + hi]
-    out_data = acc.reshape(cout, ow, hp, dp)[:, :, :oh, :od]
+    # the crop is copied, so a kept output does not pin the garbage columns
+    out_data = acc.reshape(cout, ow, hp, dp)[:, :, :oh, :od].copy() if cropped else acc.reshape(out_shape)
 
     def grads(g_out: Array, need_x: bool, need_w: bool):
         if cropped:
@@ -681,11 +682,11 @@ def _conv3d_gather(xd: Array, wd: Array, stride, padding, out_shape):
 def conv3d(
     x: Tensor,
     w: Tensor,
-    b: Tensor,
+    b: Tensor | None = None,
     stride: Sequence[int] = (1, 1, 1),
     padding: Sequence[int] = (0, 0, 0),
 ) -> Tensor:
-    """3-d cross-correlation of [Cin,W,H,D] with [Cout,Cin,kw,kh,kd] plus bias.
+    """3-d cross-correlation of [Cin,W,H,D] with [Cout,Cin,kw,kh,kd], plus bias b if given.
 
     No implicit padding: `padding` is explicit, default 0.
 
@@ -704,25 +705,26 @@ def conv3d(
         raise ShapeMismatch(f"conv3d kernel must be [Cout,Cin,kw,kh,kd], got {w.shape}")
     out_shape, stride, padding = _conv3d_geometry(x.shape, w.shape, stride, padding)
     cout = out_shape[0]
-    if b.shape != (cout,):
+    if b is not None and b.shape != (cout,):
         raise ShapeMismatch(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
     if stride == (1, 1, 1) and x.shape[0] >= cout:
         out_data, grads = _conv3d_shifted(x.data, w.data, padding, out_shape)
     else:
         out_data, grads = _conv3d_gather(x.data, w.data, stride, padding, out_shape)
-    out_data = out_data + b.data[:, None, None, None]
+    if b is not None:
+        out_data += b.data[:, None, None, None]
 
     def bw(g):
         dx, dw = grads(g, x.requires_grad, w.requires_grad)
         if w.requires_grad:
             w.accumulate_grad(dw)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=(1, 2, 3)))
         if x.requires_grad:
             x.accumulate_grad(dx)
 
-    return _node(out_data, (x, w, b), bw)
+    return _node(out_data, (x, w) if b is None else (x, w, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -741,3 +743,10 @@ def init_uniform(shape: Sequence[int], fan_in: int, rng: Rng) -> Tensor:
 
 def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(tuple(shape)), requires_grad=requires_grad)
+
+
+def named_tensors(obj, prefix: str):
+    """(prefix.attr, tensor) for each Tensor attribute of obj, in the order they were assigned."""
+    for name, value in vars(obj).items():
+        if isinstance(value, Tensor):
+            yield f"{prefix}.{name}", value

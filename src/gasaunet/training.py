@@ -44,7 +44,11 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.lr0 <= 0 or not 0 <= self.momentum < 1 or self.epochs < 1:
-            raise ValueError("need lr0 > 0, 0 <= momentum < 1, epochs >= 1")
+            raise InvalidConfig("need lr0 > 0, 0 <= momentum < 1, epochs >= 1")
+        if self.batch < 1 or self.iters_per_epoch < 1:
+            raise InvalidConfig(f"need batch >= 1 and iters_per_epoch >= 1, got {self.batch}, {self.iters_per_epoch}")
+        if len(self.patch_size) != 3 or min(self.patch_size) < 1:
+            raise InvalidConfig(f"patch_size must hold 3 extents >= 1, got {tuple(self.patch_size)}")
 
 
 def poly_lr(epoch: int, epoch_max: int, lr0: float, exponent: float = 0.9) -> float:

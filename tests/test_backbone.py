@@ -57,11 +57,11 @@ def test_large_variant_has_more_params():
 
 def test_param_count_matches_registry():
     for variant in ("base", "large"):
-        for gasa_enabled in (True, False):
-            cfg = tiny_cfg(gasa_enabled=gasa_enabled, variant=variant)
+        for gasa_enabled, pe_mode in ((False, "after"), (True, "none"), (True, "before"), (True, "after")):
+            cfg = tiny_cfg(gasa_enabled=gasa_enabled, variant=variant, pe_mode=pe_mode)
             model = build_model(cfg, Rng(1))
             walked = sum(p.size for _, p in model.named_params())
-            assert walked == count_model_params(cfg), (variant, gasa_enabled)
+            assert walked == count_model_params(cfg), (variant, gasa_enabled, pe_mode)
 
 
 def test_gasa_param_delta():
@@ -183,8 +183,8 @@ def test_forward_only_graph_freed_without_cyclic_gc():
 
 
 def test_conv_flops_formula():
-    # 1x1x1 conv: 2*Cin*Cout*WHD multiply-adds plus Cout*WHD bias adds
-    assert conv_flops(4, 6, 1, 100) == 2 * 4 * 6 * 100 + 6 * 100
+    # 1x1x1 conv without bias: 2*Cin*Cout*WHD multiply-adds
+    assert conv_flops(4, 6, 1, 100) == 2 * 4 * 6 * 100
 
 
 def test_model_flops_monotone_and_positive():
@@ -207,7 +207,7 @@ def test_model_flops_count_reduce_at_the_coarse_grid():
         + conv_flops(2, 3, 3, 8) + conv_flops(3, 3, 3, 8)
         + conv_flops(3, 2, 1, 8)       # dec0.reduce, before upsampling
         + conv_flops(4, 2, 3, 64)      # dec0.post
-        + conv_flops(2, 2, 1, 64)      # head
+        + conv_flops(2, 2, 1, 64) + 2 * 64  # head and its bias adds
     )
     assert count_model_flops(cfg, (4, 4, 4)) == expected
 
@@ -273,3 +273,23 @@ def test_predict_logits_is_forward_without_a_graph():
     with pytest.raises(ShapeMismatch):
         model.predict_logits(x.data[:, :8])
     assert model.forward(x)._parents  # the graph is recorded again after the error
+
+
+@pytest.mark.parametrize("variant", ["base", "large"])
+@pytest.mark.parametrize("pe_mode", ["none", "before", "after"])
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_every_parameter_receives_a_gradient(variant, pe_mode, layer_norm):
+    """Only the attention key's last additive term may have no gradient:
+    softmax is invariant to a shift that is the same for every key."""
+    cfg = make_backbone_config(1, 2, (4, 4, 4), stage_channels=(2, 3), variant=variant, d_model=4,
+                               heads=2, pe_mode=pe_mode, use_layer_norm=layer_norm, dropout_p=0.5)
+    model = _randomized(build_model(cfg, Rng(5)), 6)
+    rng = Rng(7)
+    x = Tensor(rng.normal_array(4 ** 3).reshape(1, 4, 4, 4))
+    labels = rng.uniform_array(4 ** 3).reshape(4, 4, 4) < 0.5
+    onehot = Tensor(np.stack([~labels, labels]).astype(np.float64))
+    soft_dice_ce_loss(model.forward(x, training=True, rng=rng), onehot).backward()
+    params = dict(model.named_params())
+    largest = max(np.abs(p.grad).max() for p in params.values() if p.grad is not None)
+    dead = {name for name, p in params.items() if p.grad is None or np.abs(p.grad).max() <= 1e-10 * largest}
+    assert dead == {"gasa.ln.k_beta" if layer_norm else "gasa.bk"}

@@ -58,6 +58,51 @@ def test_print_config(capsys):
     assert cfg["train"]["epochs"] == 50
 
 
+@pytest.mark.parametrize("command, flag, path, value", [
+    ("synth", ["--seed", "5"], ("seed",), 5),
+    ("synth", ["--cases", "7"], ("phantom", "cases"), 7),
+    ("synth", ["--test-cases", "3"], ("phantom", "test_cases"), 3),
+    ("synth", ["--classes", "4"], ("phantom", "classes"), 4),
+    ("synth", ["--size", "20"], ("phantom", "size"), 20),
+    ("synth", ["--noise", "0.3"], ("phantom", "noise_sigma"), 0.3),
+    ("train", ["--variant", "large"], ("model", "variant"), "large"),
+    ("train", ["--gasa", "off"], ("model", "gasa"), False),
+    ("train", ["--pe", "none"], ("model", "pe"), "none"),
+    ("train", ["--heads", "3"], ("model", "heads"), 3),
+    ("train", ["--dmodel", "9"], ("model", "dmodel"), 9),
+    ("train", ["--layernorm", "on"], ("model", "layernorm"), True),
+    ("train", ["--epochs", "4"], ("train", "epochs"), 4),
+    ("train", ["--iters", "6"], ("train", "iters_per_epoch"), 6),
+    ("train", ["--batch", "3"], ("train", "batch"), 3),
+    ("train", ["--patch", "24"], ("train", "patch"), 24),
+    ("eval", ["--tta"], ("eval", "tta"), True),
+    ("eval", ["--hec", "kits"], ("eval", "hec"), "kits"),
+    ("eval", ["--tau", "2.5"], ("eval", "tau"), 2.5),
+    ("ablate", ["--epochs", "3"], ("ablate", "epochs"), 3),
+])
+def test_each_flag_sets_its_config_path(capsys, command, flag, path, value):
+    assert run([command, "--print-config"]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    node = expected
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] != value
+    node[path[-1]] = value
+    assert run([command, "--print-config"] + flag) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_config_file_values_stay_without_their_flags(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"gasa": False, "layernorm": True}, "eval": {"tta": True}}))
+    assert run(["eval", "--print-config", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["eval"]["tta"] is True
+    assert run(["train", "--print-config", "--config", str(cfg_path), "--gasa", "on", "--layernorm", "off"]) == 0
+    model = json.loads(capsys.readouterr().out)["model"]
+    assert model["gasa"] is True and model["layernorm"] is False
+    assert run(["train", "--print-config", "--gasa", "maybe"]) == 1
+
+
 def test_config_file_merges_and_flags_win(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"model": {"heads": 2, "dmodel": 10}, "seed": 9}))
@@ -102,6 +147,41 @@ def test_eval_checkpoint_without_training_fingerprint_exits_2(tmp_path, capsys, 
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and f"extra field {field!r}" in err
+
+
+@pytest.mark.parametrize("flag", [["--batch", "0"], ["--iters", "0"], ["--patch", "0"]])
+def test_train_rejects_empty_batches_and_epochs(dataset, tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(dataset), "--out", str(out), "--epochs", "1"] + flag) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists() and not (out / "train_log.jsonl").exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(lambda m: m["split"]["test"].append(5), "split.test", id="split.test"),
+    pytest.param(lambda m: m["split"].update(train="0"), "split.train", id="split.train"),
+    pytest.param(lambda m: m.pop("spec"), "spec.num_classes", id="no-spec"),
+    pytest.param(lambda m: m["spec"].update(num_classes=1), "spec.num_classes", id="one-class"),
+    pytest.param(lambda m: m.pop("cases"), "cases", id="cases"),
+    pytest.param(lambda m: m["cases"][1].pop("labels"), "cases[1].labels", id="cases[1].labels"),
+    pytest.param(lambda m: m["cases"].__setitem__(0, "case_000.gvol"), "cases[0].image", id="cases[0].image"),
+])
+def test_malformed_manifest_exits_2_naming_file_and_field(dataset, tmp_path, capsys, edit, field):
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    edit(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"field {field!r}" in err
+
+
+def test_manifest_that_is_not_json_exits_2_naming_file(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"cases": [] "spec": {}}')
+    assert run(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "not valid JSON" in err
 
 
 def test_train_outputs(trained):

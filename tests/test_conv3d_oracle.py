@@ -81,16 +81,21 @@ def _draw(case, seed):
 def test_conv3d_matches_reference(name):
     *_, stride, padding = SHAPES[name]
     x, w, b, g, _ = _draw(SHAPES[name], seed=len(name))
-    ref_out, ref_dx, ref_dw, ref_db = reference_conv3d(x, w, b, stride, padding, g)
+    for with_bias in (True, False):
+        # without a bias the reference is the same conv with a zero bias
+        ref_b = b if with_bias else np.zeros_like(b)
+        ref_out, ref_dx, ref_dw, ref_db = reference_conv3d(x, w, ref_b, stride, padding, g)
 
-    xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
-    out = T.conv3d(xt, wt, bt, stride=stride, padding=padding)
-    T.tsum(T.mul(out, Tensor(g))).backward()
-    assert out.shape == ref_out.shape
-    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(wt.grad, ref_dw, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(xt.grad, ref_dx, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(bt.grad, ref_db, rtol=0, atol=ATOL)
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = T.conv3d(xt, wt, bt if with_bias else None, stride=stride, padding=padding)
+        assert out._parents == ((xt, wt, bt) if with_bias else (xt, wt))
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        assert out.shape == ref_out.shape
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(wt.grad, ref_dw, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(xt.grad, ref_dx, rtol=0, atol=ATOL)
+        if with_bias:
+            np.testing.assert_allclose(bt.grad, ref_db, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -102,6 +107,8 @@ def test_conv3d_paths_match_reference(name):
     if stride == (1, 1, 1):
         paths.append(T._conv3d_shifted(x, w, padding, out_shape))
     for out, grads in paths:
+        # an output view into a larger buffer would keep the cropped columns alive
+        assert out.flags.c_contiguous and (out.base is None or out.base.size == out.size)
         dx, dw = grads(g, True, True)
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=ATOL)
         np.testing.assert_allclose(dw, ref_dw, rtol=0, atol=ATOL)

@@ -253,10 +253,11 @@ def test_count_gasa_params_hand_enumeration():
 
 def test_count_gasa_params_matches_registry():
     for ln in (False, True):
-        cfg = small_cfg(use_layer_norm=ln)
-        params = init_gasa_params(cfg, Rng(27))
-        walked = sum(p.size for _, p in params.named())
-        assert walked == count_gasa_params(cfg)
+        for pe_mode in ("none", "before", "after"):
+            cfg = small_cfg(use_layer_norm=ln, pe_mode=pe_mode)
+            params = init_gasa_params(cfg, Rng(27))
+            walked = sum(p.size for _, p in params.named())
+            assert walked == count_gasa_params(cfg), (ln, pe_mode)
 
 
 def test_count_gasa_params_superlinear_in_d_model():
