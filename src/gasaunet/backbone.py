@@ -196,9 +196,15 @@ class GasaUNet:
         return self.forward(x, training=training, rng=rng)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        """Inference helper: numpy in, numpy out, no dropout, no graph."""
-        with T.no_grad():
-            return self.forward(Tensor(x)).data
+        """Inference helper: numpy in, float64 logits out, no dropout, no graph.
+
+        The forward pass runs in float32, which roughly halves the bytes the
+        convolutions move; the softmax, blending and averaging that callers
+        apply to the logits stay in float64.
+        """
+        with T.no_grad(), T.precision(np.float32):
+            logits = self.forward(Tensor(x)).data
+        return logits.astype(np.float64)
 
     # -- parameter registry ----------------------------------------------------
 

@@ -29,6 +29,7 @@ from .training import (
     eval_fingerprint,
     load_checkpoint,
     model_from_checkpoint,
+    prepared_from_manifest_path,
     preprocess_manifest,
     save_checkpoint,
     train,
@@ -188,8 +189,7 @@ def cmd_train(args) -> int:
         poly_exponent=cfg["train"]["poly_exponent"],
     )
     tcfg.validate()
-    manifest, root = load_manifest(args.data)
-    data = preprocess_manifest(manifest, root, patch)
+    data = prepared_from_manifest_path(args.data, patch)
     model_cfg = _model_config_from(cfg, patch, data.num_classes)
     model = build_model(model_cfg, Rng(cfg["seed"]))
     print(f"training {model_cfg.variant} model, {count_model_params(model_cfg)} parameters, "
@@ -264,9 +264,8 @@ def cmd_ablate(args) -> int:
     if _maybe_print_config(args, cfg):
         return 0
     out = _out_dir(args)
-    manifest, root = load_manifest(args.data)
     patch = (cfg["train"]["patch"],) * 3
-    data = preprocess_manifest(manifest, root, patch)
+    data = prepared_from_manifest_path(args.data, patch)
 
     cells = []
     for heads, dmodel in cfg["ablate"]["grid"]:

@@ -51,4 +51,4 @@ class VersionMismatch(GasaUNetError):
 
 
 class NonFiniteLoss(GasaUNetError):
-    """The training loss became NaN or infinite."""
+    """The training loss or a parameter's gradient became NaN or infinite."""

@@ -182,7 +182,7 @@ def axial_expand(att: Tensor, cfg: GasaConfig) -> Tensor:
     if att.shape != (w + h + d, dm):
         raise ShapeMismatch(f"expected ({w + h + d}, {dm}) attention rows, got {att.shape}")
     a = att.data
-    out_data = np.empty((3 * dm, w, h, d), dtype=np.float64)
+    out_data = np.empty((3 * dm, w, h, d), dtype=a.dtype)
     out_data[:dm] = np.broadcast_to(a[:w].T[:, :, None, None], (dm, w, h, d))
     out_data[dm : 2 * dm] = np.broadcast_to(a[w : w + h].T[:, None, :, None], (dm, w, h, d))
     out_data[2 * dm :] = np.broadcast_to(a[w + h :].T[:, None, None, :], (dm, w, h, d))

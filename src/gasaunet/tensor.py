@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation on n-dimensional float64 arrays.
+"""Reverse-mode automatic differentiation on n-dimensional float arrays.
 
 The engine is define-by-run: every operation returns a new Tensor that
 remembers its parents and a closure that routes the output gradient back to
@@ -6,8 +6,13 @@ them. A closure receives that gradient as its argument and never refers to
 its own output, so the graph has no cycles and a graph that is dropped
 without a backward pass is freed by reference counting. backward() seeds
 the scalar root with 1 and replays the closures in reverse topological
-order. Inside a no_grad() block ops record no graph at all. Everything is
-float64; there is no device or dtype story beyond that.
+order. Inside a no_grad() block ops record no graph at all.
+
+Arrays are float64 unless a precision() block selects another dtype: inside
+it, new Tensors and every op's operands are cast to that dtype, so float64
+parameters take part in a float32 forward pass without a copy being kept.
+Training, the gradient checks and checkpoints run in float64; inference
+(GasaUNet.predict_logits) runs its forward pass in float32.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    InvalidConfig,
     InvalidProbability,
     KernelTooLarge,
     NotScalar,
@@ -99,7 +105,8 @@ class Rng:
 
 
 class Tensor:
-    """Float64 array plus gradient bookkeeping.
+    """Array in the current precision (float64 by default) plus gradient
+    bookkeeping.
 
     grad is the first gradient received, kept as given; later ones are
     added into a new array. Intermediate tensors keep references to their
@@ -110,7 +117,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_dtype)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple["Tensor", ...] = ()
@@ -224,6 +231,7 @@ def tensor_new(shape: Sequence[int], values: Sequence[float], requires_grad: boo
 
 
 _grad_enabled = True
+_dtype = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -237,6 +245,27 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+@contextlib.contextmanager
+def precision(dtype):
+    """Block in which new Tensors, op operands and op results use `dtype`.
+    The previous precision is restored on exit, also when the block raises."""
+    global _dtype
+    previous, _dtype = _dtype, np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _dtype = previous
+
+
+def _data(t: Tensor) -> Array:
+    """t.data in the current precision. A tensor made in another precision,
+    such as a float64 parameter inside precision(np.float32), is cast on
+    every read; no copy is cached, because the optimizer updates parameters
+    in place."""
+    d = t.data
+    return d if d.dtype is _dtype else d.astype(_dtype)
 
 
 def _node(data: Array, parents: Iterable[Tensor], backward: Callable[[Array], None]) -> Tensor:
@@ -266,7 +295,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
+    out_data = _data(a) + _data(b)
 
     def bw(g):
         if a.requires_grad:
@@ -278,7 +307,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
+    out_data = _data(a) - _data(b)
 
     def bw(g):
         if a.requires_grad:
@@ -290,53 +319,57 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
+    ad, bd = _data(a), _data(b)
+    out_data = ad * bd
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * bd, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * ad, b.shape))
 
     return _node(out_data, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
+    ad, bd = _data(a), _data(b)
+    out_data = ad / bd
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g / bd, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b.accumulate_grad(_unbroadcast(-g * ad / (bd * bd), b.shape))
 
     return _node(out_data, (a, b), bw)
 
 
 def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
+    ad = _data(a)
+    out_data = np.log(ad)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(g / a.data)
+            a.accumulate_grad(g / ad)
 
     return _node(out_data, (a,), bw)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient is zero where the floor is active."""
-    keep = a.data > floor
-    out_data = np.where(keep, a.data, floor)
+    """max(a, floor); gradient is zero where the floor is active. A NaN
+    input stays NaN."""
+    ad = _data(a)
+    out_data = np.maximum(ad, floor)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(g * keep)
+            a.accumulate_grad(g * (ad > floor))
 
     return _node(out_data, (a,), bw)
 
 
 def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = _data(a).sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
         if a.requires_grad:
@@ -347,13 +380,36 @@ def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
     return _node(out_data, (a,), bw)
 
 
+def _check_slope(slope: float) -> None:
+    # max(slope*x, x) is the leaky ReLU only for slope <= 1, and for slope > 0:
+    # a zero slope would turn x = +inf into 0*inf = NaN
+    if not 0.0 < slope <= 1.0:
+        raise InvalidConfig(f"leaky ReLU slope must be in (0, 1], got {slope}")
+
+
+def _leaky(x: Array, slope: float) -> Array:
+    """max(slope*x, x) into a new array: x for x > 0, slope*x otherwise."""
+    out = x * slope
+    return np.maximum(out, x, out=out)
+
+
+def _leaky_grad(g: Array, pos: Array, slope: float) -> Array:
+    """g where pos, g*slope elsewhere, built in place without a masked ufunc."""
+    factor = pos.astype(g.dtype)
+    np.maximum(factor, slope, out=factor)
+    factor *= g
+    return factor
+
+
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    pos = a.data > 0
-    out_data = np.where(pos, a.data, slope * a.data)
+    """x for x > 0, slope*x otherwise (NaN included)."""
+    _check_slope(slope)
+    ad = _data(a)
+    out_data = _leaky(ad, slope)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(g * np.where(pos, 1.0, slope))
+            a.accumulate_grad(_leaky_grad(g, ad > 0, slope))
 
     return _node(out_data, (a,), bw)
 
@@ -365,7 +421,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    out_data = a.data.reshape(shape)
+    out_data = _data(a).reshape(shape)
 
     def bw(g):
         if a.requires_grad:
@@ -375,7 +431,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out_data = np.concatenate([_data(t) for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
 
     def bw(g):
@@ -395,7 +451,7 @@ def upsample_nearest(a: Tensor, factors: Sequence[int]) -> Tensor:
     if a.data.ndim != 4:
         raise ShapeMismatch(f"upsample_nearest expects [C,W,H,D], got {a.shape}")
     fw, fh, fd = (int(f) for f in factors)
-    out_data = a.data.repeat(fw, axis=1).repeat(fh, axis=2).repeat(fd, axis=3)
+    out_data = _data(a).repeat(fw, axis=1).repeat(fh, axis=2).repeat(fd, axis=3)
 
     def bw(g):
         if a.requires_grad:
@@ -436,14 +492,15 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
                 raise ShapeMismatch(f"einsum index {idx!r} has extents {extents[idx]} and {n} in {spec!r}")
     if len(set(out_idx)) != len(out_idx) or not set(out_idx) <= set(extents):
         raise ShapeMismatch(f"einsum output {out_idx!r} repeats an index or names one no operand has")
-    out_data = np.einsum(spec, *(t.data for t in operands), optimize=True)
+    arrays = [_data(t) for t in operands]
+    out_data = np.einsum(spec, *arrays, optimize=True)
 
     def bw(g):
         for i, t in enumerate(operands):
             if t.requires_grad:
                 rest = [j for j in range(len(operands)) if j != i]
                 spec_i = ",".join([out_idx] + [terms[j] for j in rest]) + "->" + terms[i]
-                gi = np.einsum(spec_i, g, *(operands[j].data for j in rest), optimize=True)
+                gi = np.einsum(spec_i, g, *(arrays[j] for j in rest), optimize=True)
                 t.accumulate_grad(np.ascontiguousarray(gi))
 
     return _node(out_data, operands, bw)
@@ -453,7 +510,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax over one axis, max-subtracted for stability."""
     if a.data.ndim == 0 or a.shape[axis] < 1:
         raise ShapeMismatch(f"softmax needs a nonempty axis {axis}, got shape {a.shape}")
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    ad = _data(a)
+    e = np.exp(ad - ad.max(axis=axis, keepdims=True))
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
@@ -499,22 +557,25 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, slope: float | None = 
         raise ShapeMismatch(
             f"instance_norm affine must have shape ({c},), got {gamma.shape}/{beta.shape}"
         )
+    if slope is not None:
+        _check_slope(slope)
     n = x.size // c
     per_channel = (c, 1, 1, 1)
-    y = x.data - x.data.mean(axis=(1, 2, 3), keepdims=True)
+    xd, gd = _data(x), _data(gamma)
+    y = xd - xd.mean(axis=(1, 2, 3), keepdims=True)
     flat = y.reshape(c, n)
     inv_std = 1.0 / np.sqrt(np.einsum("cn,cn->c", flat, flat) / n + _NORM_EPS)
     y *= inv_std.reshape(per_channel)
-    out_data = y * gamma.data.reshape(per_channel)
-    out_data += beta.data.reshape(per_channel)
+    out_data = y * gd.reshape(per_channel)
+    out_data += _data(beta).reshape(per_channel)
     if slope is not None:
-        neg = out_data <= 0
-        np.multiply(out_data, slope, out=out_data, where=neg)
+        out_data = _leaky(out_data, slope)
 
     def bw(g):
         if slope is not None:
-            g = g.copy()
-            np.multiply(g, slope, out=g, where=neg)
+            # the activation keeps each value's class, so the output tells
+            # which inputs were <= 0; NaN counts as positive
+            g = _leaky_grad(g, ~(out_data <= 0), slope)
         g_flat = g.reshape(c, n)
         dbeta = g_flat.sum(axis=1)
         dgamma = np.einsum("cn,cn->c", g_flat, flat)
@@ -526,7 +587,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, slope: float | None = 
             dx = y * (-dgamma / n).reshape(per_channel)
             dx += g
             dx -= (dbeta / n).reshape(per_channel)
-            dx *= (gamma.data * inv_std).reshape(per_channel)
+            dx *= (gd * inv_std).reshape(per_channel)
             x.accumulate_grad(dx)
 
     return _node(out_data, (x, gamma, beta), bw)
@@ -547,7 +608,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tens
         raise InvalidProbability("training dropout needs an Rng")
     keep = (rng.uniform_array(x.size) >= p).reshape(x.shape)
     scale = 1.0 / (1.0 - p)
-    out_data = x.data * keep * scale
+    out_data = _data(x) * keep * scale
 
     def bw(g):
         if x.requires_grad:
@@ -605,7 +666,7 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
     offsets = [a * plane + bb * dp + c for a in range(kw) for bb in range(kh) for c in range(kd)]
     cropped = (oh, od) != (hp, dp)
     if cropped or pw or ph or pd:
-        xf = np.zeros((cin, n_grid + (kh - 1) * dp + kd - 1))
+        xf = np.zeros((cin, n_grid + (kh - 1) * dp + kd - 1), dtype=xd.dtype)
         xf[:, :n_grid].reshape(cin, -1, hp, dp)[:, pw : pw + w_, ph : ph + h_, pd : pd + d_] = xd
     else:
         xf = xd.reshape(cin, n_grid)
@@ -613,7 +674,7 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
 
     n_blocks = max(1, round(span / _CONV_BLOCK))
     blocks = [(span * i // n_blocks, span * (i + 1) // n_blocks) for i in range(n_blocks)]
-    acc = np.zeros((cout, span))
+    acc = np.zeros((cout, span), dtype=xd.dtype)
     for lo, hi in blocks:
         out_block = acc[:, lo:hi]
         for k, off in enumerate(offsets):
@@ -623,7 +684,7 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
 
     def grads(g_out: Array, need_x: bool, need_w: bool):
         if cropped:
-            g = np.zeros((cout, ow, hp, dp))
+            g = np.zeros((cout, ow, hp, dp), dtype=g_out.dtype)
             g[:, :, :oh, :od] = g_out
             g = g.reshape(cout, span)
         else:
@@ -658,7 +719,7 @@ def _conv3d_gather(xd: Array, wd: Array, stride, padding, out_shape):
     along_h = [slice(a, a + sh * oh, sh) for a in range(kh)]
     along_d = [slice(a, a + sd * od, sd) for a in range(kd)]
     windows = [(slice(None), i, j, k) for i in along_w for j in along_h for k in along_d]
-    cols = np.empty((cin, len(windows), ow, oh, od))
+    cols = np.empty((cin, len(windows), ow, oh, od), dtype=xd.dtype)
     for k, win in enumerate(windows):
         cols[:, k] = xp[win]
     cols_2d = cols.reshape(-1, ow * oh * od)
@@ -709,11 +770,11 @@ def conv3d(
         raise ShapeMismatch(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
     if stride == (1, 1, 1) and x.shape[0] >= cout:
-        out_data, grads = _conv3d_shifted(x.data, w.data, padding, out_shape)
+        out_data, grads = _conv3d_shifted(_data(x), _data(w), padding, out_shape)
     else:
-        out_data, grads = _conv3d_gather(x.data, w.data, stride, padding, out_shape)
+        out_data, grads = _conv3d_gather(_data(x), _data(w), stride, padding, out_shape)
     if b is not None:
-        out_data += b.data[:, None, None, None]
+        out_data += _data(b)[:, None, None, None]
 
     def bw(g):
         dx, dw = grads(g, x.requires_grad, w.requires_grad)

@@ -386,9 +386,11 @@ def train(
     cfg.epochs fixes the decay horizon; stop_epoch interrupts early so the
     run can be checkpointed and resumed on the identical trajectory. Returns
     the final checkpoint and the per-epoch log (epoch, lr, loss, seconds).
-    A non-finite loss raises NonFiniteLoss before its backward pass; resume
-    momentum that does not match the model's parameters by name and shape
-    raises VersionMismatch before the first step.
+    A non-finite loss raises NonFiniteLoss before its backward pass, and a
+    non-finite gradient raises it, naming the first such parameter, before
+    the optimizer step; resume momentum that does not match the model's
+    parameters by name and shape raises VersionMismatch before the first
+    step.
     """
     cfg.validate()
     if not data.train:
@@ -433,6 +435,11 @@ def train(
                     raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")
                 model.zero_grads()
                 total.backward()
+                for name, p in named:
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise NonFiniteLoss(
+                            f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}"
+                        )
                 sgd_nesterov_step(named, momentum, lr, cfg.momentum)
                 losses.append(loss_value)
             entry = {

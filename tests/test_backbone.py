@@ -21,7 +21,7 @@ from gasaunet.gasa import GasaConfig, count_gasa_params
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import load_checkpoint, model_from_checkpoint
-from gasaunet.verify import fd_grad, max_rel_err
+from gasaunet.verify import INFERENCE_LOGIT_TOL, check_inference_precision, fd_grad, max_rel_err
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,20 +259,36 @@ def test_checkpoint_saved_with_upsample_then_reduce_predicts_the_same():
     model = model_from_checkpoint(load_checkpoint(DATA / "decoder_upsample_first.ckpt"))
     x = Rng(13).normal_array(8 ** 3).reshape(1, 8, 8, 8)
     expected = np.load(DATA / "decoder_upsample_first_logits.npy")
-    assert np.allclose(model.predict_logits(x), expected, rtol=0, atol=1e-10)
+    with T.no_grad():
+        logits = model.forward(Tensor(x)).data
+    assert logits.dtype == np.float64
+    assert np.allclose(logits, expected, rtol=0, atol=1e-10)
+    # predict_logits runs the same forward in float32
+    assert np.allclose(model.predict_logits(x), logits, rtol=0, atol=INFERENCE_LOGIT_TOL)
 
 
 def test_predict_logits_is_forward_without_a_graph():
     model, x, _ = _default_16cube()
-    reference = model.forward(x).data
+    with T.precision(np.float32):
+        reference = model.forward(x).data.astype(np.float64)
     seen = []
     forward = model.forward
     model.forward = lambda inp, **kw: seen.append(forward(inp, **kw)) or seen[-1]
-    assert np.array_equal(model.predict_logits(x.data), reference)
+    logits = model.predict_logits(x.data)
+    assert logits.dtype == np.float64 and np.array_equal(logits, reference)
+    assert seen[0].data.dtype == np.float32
     assert not seen[0].requires_grad and seen[0]._parents == () and seen[0]._backward is None
     with pytest.raises(ShapeMismatch):
         model.predict_logits(x.data[:, :8])
     assert model.forward(x)._parents  # the graph is recorded again after the error
+
+
+def test_inference_precision_check_passes_and_sees_a_drift(monkeypatch):
+    assert check_inference_precision()["passed"]
+    predict = GasaUNet.predict_logits
+    monkeypatch.setattr(GasaUNet, "predict_logits", lambda self, x: predict(self, x) + 2 * INFERENCE_LOGIT_TOL)
+    result = check_inference_precision()
+    assert not result["passed"] and result["argmax_flips"] == 0
 
 
 @pytest.mark.parametrize("variant", ["base", "large"])

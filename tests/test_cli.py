@@ -157,6 +157,26 @@ def test_train_rejects_empty_batches_and_epochs(dataset, tmp_path, capsys, flag)
     assert not (out / "model.ckpt").exists() and not (out / "train_log.jsonl").exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_with_a_non_finite_gradient_exits_2_naming_the_parameter(dataset, tmp_path, capsys, monkeypatch):
+    from gasaunet import tensor as T
+    from gasaunet import training
+
+    loss_fn = training.soft_dice_ce_loss
+
+    def poisoned(logits, onehot):
+        # an infinite gradient for the logits, and so for every parameter
+        loss = loss_fn(logits, onehot)
+        return T._node(loss.data, (loss,), lambda g: loss.accumulate_grad(g * np.inf))
+
+    monkeypatch.setattr(training, "soft_dice_ce_loss", poisoned)
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(dataset), "--out", str(out), "--epochs", "1", "--iters", "1",
+                "--patch", "8", "--dmodel", "4", "--heads", "2"]) == 2
+    assert "gradient of parameter enc0.0.w is not finite" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("edit, field", [
     pytest.param(lambda m: m["split"]["test"].append(5), "split.test", id="split.test"),
     pytest.param(lambda m: m["split"].update(train="0"), "split.train", id="split.train"),
@@ -251,6 +271,10 @@ def test_ablate_runs_and_resumes(dataset, tmp_path, capsys):
     assert capsys.readouterr().out.count("cached") == 4
 
 
-def test_verify_exit_codes():
+def test_verify_exit_codes(capsys):
     assert run(["verify"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [c["name"] for c in report["checks"]] == [
+        "gradient_oracle", "nsd_oracle", "interpolation_oracle", "sliding_window_oracle", "inference_precision"
+    ]
     assert run(["verify", "--perturb-gradient"]) == 3

@@ -446,6 +446,24 @@ def test_no_grad_records_no_graph_and_restores_the_mode():
     assert w.requires_grad and w._parents == (x, x)
 
 
+def test_precision_casts_operands_and_is_restored_after_an_exception():
+    w = Tensor(np.arange(1.0, 5.0), requires_grad=True)  # a float64 parameter
+    with T.precision(np.float32):
+        x = Tensor(np.full(4, 0.1))
+        y = T.add(T.mul(x, w), w)
+        with T.precision(np.float64):
+            assert Tensor(0.1).data.dtype == np.float64
+        z = T.einsum("i,i->", y, w)  # still float32 after the inner block exits
+    for t in (x, y, z):
+        assert t.data.dtype == np.float32
+    assert np.array_equal(y.data, np.float32(0.1) * w.data.astype(np.float32) + w.data.astype(np.float32))
+    assert w.data.dtype == np.float64
+    with pytest.raises(RuntimeError):
+        with T.precision(np.float32):
+            raise RuntimeError("fails inside the block")
+    assert Tensor(0.1).data.dtype == np.float64 and T.mul(w, w).data.dtype == np.float64
+
+
 def test_gradient_of_a_tensor_used_twice():
     rng = Rng(71)
     x = Tensor(rng.normal_array(5), requires_grad=True)

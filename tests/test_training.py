@@ -7,6 +7,7 @@ import pytest
 
 from gasaunet.backbone import make_backbone_config, build_model
 from gasaunet.errors import InvalidEpoch, NonFiniteLoss, VersionMismatch
+from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
     CKPT_MAGIC,
@@ -256,6 +257,31 @@ def test_non_finite_loss_stops_training():
         case.image[:, 4:10, 4:10, 4:10] = np.nan
     with pytest.raises(NonFiniteLoss, match="epoch 0, iteration 0"):
         train(tiny_model(), data, tiny_train_cfg())
+
+
+def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
+    from gasaunet import tensor as T
+    from gasaunet import training
+
+    model = tiny_model()
+    params = dict(model.named_params())
+    before = {name: p.data.copy() for name, p in params.items()}
+    poisoned = params["dec0.post.gamma"]
+
+    def loss_fn(logits, onehot):
+        # the loss value and every other gradient stay as they are
+        loss = soft_dice_ce_loss(logits, onehot)
+
+        def bw(g):
+            loss.accumulate_grad(g)
+            poisoned.accumulate_grad(np.full(poisoned.shape, np.inf))
+
+        return T._node(loss.data, (loss, poisoned), bw)
+
+    monkeypatch.setattr(training, "soft_dice_ce_loss", loss_fn)
+    with pytest.raises(NonFiniteLoss, match=r"parameter dec0\.post\.gamma is not finite at epoch 0, iteration 0"):
+        train(model, tiny_data(), tiny_train_cfg())
+    assert all(np.array_equal(p.data, before[name]) for name, p in params.items())
 
 
 def test_loss_decreases_on_easy_task():
