@@ -57,7 +57,12 @@ class GasaConfig:
 
 @dataclass
 class GasaParams:
-    """Learnable state of one block; field order fixes the checkpoint layout; pe is None in pe_mode "none"."""
+    """Learnable state of one block; field order fixes the checkpoint layout; pe is None in pe_mode "none".
+
+    The key projection ends without an additive term (bk exists only in
+    front of the layer norm, which has no key shift): softmax cancels a
+    shift shared by all of a query's scores, so its gradient would be zero.
+    """
 
     proj_w: Tensor
     proj_w_b: Tensor
@@ -68,7 +73,7 @@ class GasaParams:
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
+    bk: Tensor | None
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -101,7 +106,7 @@ def init_gasa_params(cfg: GasaConfig, rng: Rng) -> GasaParams:
         wq=T.init_uniform((dm, dm), fan_in=dm, rng=rng),
         bq=T.zeros([dm], requires_grad=True),
         wk=T.init_uniform((dm, dm), fan_in=dm, rng=rng),
-        bk=T.zeros([dm], requires_grad=True),
+        bk=T.zeros([dm], requires_grad=True) if cfg.use_layer_norm else None,
         wv=T.init_uniform((dm, dm), fan_in=dm, rng=rng),
         bv=T.zeros([dm], requires_grad=True),
         wo=T.init_uniform((dm, dm), fan_in=dm, rng=rng),
@@ -111,7 +116,8 @@ def init_gasa_params(cfg: GasaConfig, rng: Rng) -> GasaParams:
     if cfg.use_layer_norm:
         for key in ("q", "k", "v"):
             params.ln[f"{key}_gamma"] = Tensor(np.ones(dm), requires_grad=True)
-            params.ln[f"{key}_beta"] = T.zeros([dm], requires_grad=True)
+            if key != "k":
+                params.ln[f"{key}_beta"] = T.zeros([dm], requires_grad=True)
     return params
 
 
@@ -151,10 +157,12 @@ def mhsa(
         raise ShapeMismatch(f"tokens must be [n, {dm}], got {tokens.shape}")
     n = tokens.shape[0]
 
-    def project(wmat: Tensor, bias: Tensor, key: str) -> Tensor:
-        out = T.add(T.einsum("nc,co->no", tokens, wmat), bias)
+    def project(wmat: Tensor, bias: Tensor | None, key: str) -> Tensor:
+        out = T.einsum("nc,co->no", tokens, wmat)
+        if bias is not None:
+            out = T.add(out, bias)
         if cfg.use_layer_norm:
-            out = T.layer_norm(out, params.ln[f"{key}_gamma"], params.ln[f"{key}_beta"])
+            out = T.layer_norm(out, params.ln[f"{key}_gamma"], params.ln.get(f"{key}_beta"))
         return T.reshape(out, (n, cfg.heads, cfg.d_k))
 
     q = project(params.wq, params.bq, "q")
@@ -238,9 +246,9 @@ def count_gasa_params(cfg: GasaConfig) -> int:
     dm = cfg.d_model
     planes = (h * d, w * d, w * h)
     n = sum(c * plane * dm + dm for plane in planes)    # axial projections + biases
-    n += 4 * (dm * dm + dm)                             # q, k, v, o projections
+    n += 4 * dm * dm + 3 * dm                           # q, k, v, o projections; biases on q, v, o
     if cfg.use_layer_norm:
-        n += 3 * 2 * dm
+        n += dm + 3 * dm + 2 * dm                       # k bias; q, k, v scales; q, v shifts
     n += (w + h + d) * dm if cfg.pe_mode != PE_NONE else 0  # positional table
     return n
 

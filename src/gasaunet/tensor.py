@@ -11,8 +11,12 @@ order. Inside a no_grad() block ops record no graph at all.
 Arrays are float64 unless a precision() block selects another dtype: inside
 it, new Tensors and every op's operands are cast to that dtype, so float64
 parameters take part in a float32 forward pass without a copy being kept.
-Training, the gradient checks and checkpoints run in float64; inference
-(GasaUNet.predict_logits) runs its forward pass in float32.
+Every gradient is cast to the dtype of the tensor that receives it, so the
+backward pass of a float32 forward runs in float32 even when a float64 loss
+is computed on its output, and float64 parameters still get float64 grads.
+Training (training.sample_loss) and inference (GasaUNet.predict_logits) run
+their forward passes in float32; parameters, gradients, the optimizer, the
+gradient checks and checkpoints are float64.
 """
 
 from __future__ import annotations
@@ -108,10 +112,11 @@ class Tensor:
     """Array in the current precision (float64 by default) plus gradient
     bookkeeping.
 
-    grad is the first gradient received, kept as given; later ones are
-    added into a new array. Intermediate tensors keep references to their
-    parents and a backward closure until backward() consumes them; leaves
-    keep neither, and only leaves keep a grad after backward().
+    grad has the dtype of data: the first gradient received, cast only if
+    its dtype differs; later ones are added into a new array. Intermediate
+    tensors keep references to their parents and a backward closure until
+    backward() consumes them; leaves keep neither, and only leaves keep a
+    grad after backward().
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -141,10 +146,16 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def accumulate_grad(self, g: Array) -> None:
-        # Never in place: a closure may hand the same array to several
-        # parents. The first gradient is kept as given, so closures hand over
+        # A gradient is cast to this tensor's dtype: a float32 node fed by the
+        # float64 loss keeps its backward in float32, and a float64 parameter
+        # of a float32 forward stores a float64 grad. Never in place: a
+        # closure may hand the same array to several parents. A first
+        # gradient of the right dtype is kept as given, so closures hand over
         # contiguous arrays for weights (strided ones slow the optimizer).
-        self.grad = np.asarray(g) if self.grad is None else self.grad + g
+        g = np.asarray(g)
+        if g.dtype != self.data.dtype:
+            g = g.astype(self.data.dtype)
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -528,17 +539,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 _NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis, then apply the per-feature affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor | None = None) -> Tensor:
+    """Normalize over the last axis, then apply the per-feature scale and,
+    if given, shift."""
     d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    if gamma.shape != (d,) or (beta is not None and beta.shape != (d,)):
         raise ShapeMismatch(
-            f"layer_norm affine must have shape ({d},), got {gamma.shape}/{beta.shape}"
+            f"layer_norm affine must have shape ({d},), got {gamma.shape}/{getattr(beta, 'shape', None)}"
         )
     rows = reshape(x, (-1, d, 1, 1))
     n = rows.shape[0]
-    y = reshape(instance_norm(rows, Tensor(np.ones(n)), Tensor(np.zeros(n))), x.shape)
-    return add(mul(y, gamma), beta)
+    y = mul(reshape(instance_norm(rows, Tensor(np.ones(n)), Tensor(np.zeros(n))), x.shape), gamma)
+    return y if beta is None else add(y, beta)
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, slope: float | None = None) -> Tensor:

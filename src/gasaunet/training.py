@@ -24,7 +24,7 @@ from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, V
 from .gasa import GasaConfig
 from .losses import soft_dice_ce_loss
 from .phantom import load_manifest
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, precision
 from .volume import NormStats, clip_normalize, compute_norm_stats, read_volume, resample_image, resample_labels, target_spacing
 
 CKPT_MAGIC = b"GASACKPT1"
@@ -373,6 +373,19 @@ def _sample_patch(case: PreparedCase, patch: tuple[int, int, int], rng: Rng, num
     return img, onehot
 
 
+def sample_loss(model: GasaUNet, img: np.ndarray, onehot: np.ndarray, rng: Rng) -> Tensor:
+    """Dice+CE loss of one training sample, with dropout drawn from rng.
+
+    The forward pass runs in float32 and the loss on its logits in float64.
+    Each gradient is cast to the dtype of the tensor that receives it, so
+    the backward pass runs in float32 through the model and delivers float64
+    gradients to the float64 parameters, which the optimizer updates.
+    """
+    with precision(np.float32):
+        logits = model.forward(Tensor(img), training=True, rng=rng)
+    return soft_dice_ce_loss(logits, Tensor(onehot))
+
+
 def train(
     model: GasaUNet,
     data: PreparedData,
@@ -386,6 +399,8 @@ def train(
     cfg.epochs fixes the decay horizon; stop_epoch interrupts early so the
     run can be checkpointed and resumed on the identical trajectory. Returns
     the final checkpoint and the per-epoch log (epoch, lr, loss, seconds).
+    Each sample's loss comes from sample_loss (float32 forward and
+    backward, float64 loss).
     A non-finite loss raises NonFiniteLoss before its backward pass, and a
     non-finite gradient raises it, naming the first such parameter, before
     the optimizer step; resume momentum that does not match the model's
@@ -426,8 +441,7 @@ def train(
                 for _ in range(cfg.batch):
                     case = data.train[rng.randint(len(data.train))]
                     img, onehot = _sample_patch(case, cfg.patch_size, rng, data.num_classes)
-                    logits = model.forward(Tensor(img), training=True, rng=rng)
-                    loss = soft_dice_ce_loss(logits, Tensor(onehot))
+                    loss = sample_loss(model, img, onehot, rng)
                     total = loss if total is None else total + loss
                 total = total * Tensor(1.0 / cfg.batch)
                 loss_value = total.item()

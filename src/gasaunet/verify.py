@@ -4,8 +4,8 @@ Each check re-derives expected values by a route that does not share code
 with the implementation it validates: central finite differences against the
 autodiff engine, an all-pairs surface-distance scan against the metric, a
 dense accumulation loop against the tiled inference path, analytic
-functions against the resampler, and the float64 forward pass against the
-float32 one that inference runs.
+functions against the resampler, and the float64 forward pass and its
+gradients against the float32 ones that inference and training run.
 """
 
 from __future__ import annotations
@@ -318,6 +318,55 @@ def check_inference_precision(seed: int = 5) -> dict:
     }
 
 
+# Largest relative L2 difference allowed between a parameter's gradient from
+# the float32 training forward and the all-float64 gradient; about 2e-6 is
+# measured on the default model.
+TRAINING_GRAD_TOL = 1e-4
+
+
+def check_training_precision(seed: int = 5) -> dict:
+    """The gradients train() computes (training.sample_loss: float32 forward
+    and backward, float64 loss) against the all-float64 gradients of the
+    default model on one 16^3 sample with the same dropout draws: every
+    parameter's gradient must be float64 and within TRAINING_GRAD_TOL
+    relative L2 error."""
+    from . import training
+    from .backbone import build_model, make_backbone_config
+    from .losses import soft_dice_ce_loss
+
+    rng = Rng(seed)
+    model = build_model(make_backbone_config(1, 3, (16, 16, 16)), rng)
+    x = rng.normal_array(16 ** 3).reshape(1, 16, 16, 16)
+    labels = (rng.uniform_array(16 ** 3) * 3).astype(np.int64).reshape(16, 16, 16)
+    onehot = np.stack([labels == c for c in range(3)]).astype(np.float64)
+    drop_state = rng.state
+    params = list(model.named_params())
+
+    training.sample_loss(model, x, onehot, Rng.from_state(drop_state)).backward()
+    got = {name: p.grad for name, p in params}
+    model.zero_grads()
+    logits = model.forward(Tensor(x), training=True, rng=Rng.from_state(drop_state))
+    soft_dice_ce_loss(logits, Tensor(onehot)).backward()
+
+    worst, worst_name, not_float64 = 0.0, "", []
+    for name, p in params:
+        g = got[name]
+        if g is None or g.dtype != np.float64:
+            not_float64.append(name)
+            continue
+        err = float(np.linalg.norm(g - p.grad) / np.linalg.norm(p.grad))
+        if err >= worst:
+            worst, worst_name = err, name
+    return {
+        "name": "training_precision",
+        "passed": not not_float64 and worst <= TRAINING_GRAD_TOL,
+        "max_rel_l2_err": worst,
+        "worst_param": worst_name,
+        "not_float64": not_float64,
+        "tol": TRAINING_GRAD_TOL,
+    }
+
+
 def run_all(perturb_gradients: bool = False) -> list[dict]:
     return [
         check_gradients(perturb=perturb_gradients),
@@ -325,4 +374,5 @@ def run_all(perturb_gradients: bool = False) -> list[dict]:
         check_interpolation(),
         check_sliding_window(),
         check_inference_precision(),
+        check_training_precision(),
     ]

@@ -11,6 +11,7 @@ foreground 0.5/99.5 percentiles and z-scored with foreground statistics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -87,26 +88,55 @@ def write_volume(vol: Volume, path: str | Path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(header, sort_keys=True) + "\n")
 
 
+def _three_finite(v) -> bool:
+    return type(v) is list and len(v) == 3 and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+
+
+_HEADER_FIELDS = {
+    # field: (test of the JSON value, what the test asks for)
+    "dtype": (lambda v: type(v) is str and v in _DTYPES, f"one of {sorted(_DTYPES)}"),
+    "shape": (lambda v: type(v) is list and all(type(s) is int and s >= 0 for s in v), "a list of non-negative integers"),
+    "spacing": (lambda v: _three_finite(v) and min(v) > 0, "3 positive numbers"),
+    "origin": (_three_finite, "3 finite numbers"),
+    "kind": (lambda v: v in (KIND_IMAGE, KIND_LABELS), f"{KIND_IMAGE!r} or {KIND_LABELS!r}"),
+}
+
+
+def _read_header(path: Path) -> dict:
+    """The .gvol.json header with every field checked; a field that is
+    missing (only origin may be) or mistyped raises FormatError naming the
+    file and the field."""
+    try:
+        header = json.loads(Path(str(path) + ".json").read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header ({exc})") from exc
+    if type(header) is not dict:
+        raise FormatError(f"{path}: header must be a JSON object, got {type(header).__name__}")
+    header.setdefault("origin", [0.0, 0.0, 0.0])
+    for key, (ok, want) in _HEADER_FIELDS.items():
+        if key not in header:
+            raise FormatError(f"{path}: header field {key!r} is missing")
+        if not ok(header[key]):
+            raise FormatError(f"{path}: header field {key!r} must be {want}, got {header[key]!r}")
+    return header
+
+
 def read_volume(path: str | Path) -> Volume:
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: bad magic")
-    try:
-        header = json.loads(Path(str(path) + ".json").read_text())
-        dtype = _DTYPES[header["dtype"]]
-        shape = tuple(int(s) for s in header["shape"])
-        spacing = tuple(header["spacing"])
-        origin = tuple(header.get("origin", (0.0, 0.0, 0.0)))
-        kind = header["kind"]
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad header ({exc})") from exc
+    header = _read_header(path)
+    dtype, shape = _DTYPES[header["dtype"]], tuple(header["shape"])
     payload = raw[len(MAGIC) :]
-    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
     if len(payload) != expected:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-    return Volume(data=data, spacing=spacing, kind=kind, origin=origin)
+    try:
+        return Volume(data=data, spacing=header["spacing"], kind=header["kind"], origin=header["origin"])
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

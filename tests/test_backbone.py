@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gasaunet import gasa
+from gasaunet import gasa, training
 from gasaunet import tensor as T
 from gasaunet.backbone import (
     BackboneConfig,
@@ -21,7 +21,14 @@ from gasaunet.gasa import GasaConfig, count_gasa_params
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import load_checkpoint, model_from_checkpoint
-from gasaunet.verify import INFERENCE_LOGIT_TOL, check_inference_precision, fd_grad, max_rel_err
+from gasaunet.verify import (
+    INFERENCE_LOGIT_TOL,
+    TRAINING_GRAD_TOL,
+    check_inference_precision,
+    check_training_precision,
+    fd_grad,
+    max_rel_err,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -291,12 +298,36 @@ def test_inference_precision_check_passes_and_sees_a_drift(monkeypatch):
     assert not result["passed"] and result["argmax_flips"] == 0
 
 
+def test_training_precision_check_passes_and_sees_a_drift(monkeypatch):
+    result = check_training_precision()
+    assert result["passed"] and result["max_rel_l2_err"] < TRAINING_GRAD_TOL and result["not_float64"] == []
+    sample_loss = training.sample_loss
+
+    def drifted(*args):
+        return T.mul(sample_loss(*args), Tensor(1.0 + 2 * TRAINING_GRAD_TOL))
+
+    monkeypatch.setattr(training, "sample_loss", drifted)
+    result = check_training_precision()
+    assert not result["passed"] and result["not_float64"] == []
+    assert result["max_rel_l2_err"] == pytest.approx(2 * TRAINING_GRAD_TOL, rel=0.05)
+
+
+def test_training_precision_check_sees_float32_parameter_grads(monkeypatch):
+    def keep_as_given(self, g):
+        self.grad = np.asarray(g) if self.grad is None else self.grad + g
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", keep_as_given)
+    result = check_training_precision()
+    assert not result["passed"] and "head.w" in result["not_float64"]
+
+
 @pytest.mark.parametrize("variant", ["base", "large"])
 @pytest.mark.parametrize("pe_mode", ["none", "before", "after"])
 @pytest.mark.parametrize("layer_norm", [False, True])
 def test_every_parameter_receives_a_gradient(variant, pe_mode, layer_norm):
-    """Only the attention key's last additive term may have no gradient:
-    softmax is invariant to a shift that is the same for every key."""
+    """The attention key has no last additive term, whose gradient would be
+    zero (softmax is invariant to a shift that is the same for every key),
+    so every parameter is live."""
     cfg = make_backbone_config(1, 2, (4, 4, 4), stage_channels=(2, 3), variant=variant, d_model=4,
                                heads=2, pe_mode=pe_mode, use_layer_norm=layer_norm, dropout_p=0.5)
     model = _randomized(build_model(cfg, Rng(5)), 6)
@@ -308,4 +339,4 @@ def test_every_parameter_receives_a_gradient(variant, pe_mode, layer_norm):
     params = dict(model.named_params())
     largest = max(np.abs(p.grad).max() for p in params.values() if p.grad is not None)
     dead = {name for name, p in params.items() if p.grad is None or np.abs(p.grad).max() <= 1e-10 * largest}
-    assert dead == {"gasa.ln.k_beta" if layer_norm else "gasa.bk"}
+    assert dead == set()

@@ -275,6 +275,7 @@ def test_verify_exit_codes(capsys):
     assert run(["verify"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert [c["name"] for c in report["checks"]] == [
-        "gradient_oracle", "nsd_oracle", "interpolation_oracle", "sliding_window_oracle", "inference_precision"
+        "gradient_oracle", "nsd_oracle", "interpolation_oracle", "sliding_window_oracle", "inference_precision",
+        "training_precision",
     ]
     assert run(["verify", "--perturb-gradient"]) == 3

@@ -97,13 +97,14 @@ def test_mhsa_matches_brute_force():
     params.wv.data[:] = [[1.0, 1.0], [-1.0, 0.5]]
     params.wo.data[:] = [[0.5, 0.0], [0.25, 1.0]]
     params.bq.data[:] = [0.1, -0.1]
-    params.bk.data[:] = [0.0, 0.2]
     params.bv.data[:] = [0.3, 0.0]
     params.bo.data[:] = [-0.2, 0.4]
     x = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
 
     q = x @ params.wq.data + params.bq.data
-    k = x @ params.wk.data + params.bk.data
+    # a key bias shifts all of a query's scores by q.bk, which the softmax
+    # cancels; the block has none, and the reference keeps one to show it
+    k = x @ params.wk.data + np.array([0.0, 0.2])
     v = x @ params.wv.data + params.bv.data
     scores = q @ k.T / np.sqrt(2.0)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -120,7 +121,7 @@ def test_mhsa_heads_match_per_head_reference():
     params = init_gasa_params(cfg, Rng(33))
     x = Rng(34).normal_array(18 * 25).reshape(18, 25)
     q = x @ params.wq.data + params.bq.data
-    k = x @ params.wk.data + params.bk.data
+    k = x @ params.wk.data
     v = x @ params.wv.data + params.bv.data
     head_outs, head_probs = [], []
     for hd in range(5):
@@ -247,8 +248,8 @@ def test_gasa_forward_layer_norm_path_gradient():
 
 def test_count_gasa_params_hand_enumeration():
     cfg = GasaConfig(in_channels=2, spatial=(2, 2, 2), d_model=2, heads=1)
-    # 3*(2*4*2+2) + 4*(4+2) + 6*2 = 54 + 24 + 12
-    assert count_gasa_params(cfg) == 90
+    # 3*(2*4*2+2) + (4*4 + 3*2) + 6*2 = 54 + 22 + 12: q, k, v, o weights, no key bias
+    assert count_gasa_params(cfg) == 88
 
 
 def test_count_gasa_params_matches_registry():

@@ -336,3 +336,32 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
         save_checkpoint(ckpt, path)
     assert path.read_bytes() == saved
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_training_backward_runs_in_float32_and_parameters_stay_float64(monkeypatch):
+    """A float64 gradient leaking into the float32 graph keeps every numerical
+    test green and loses the speed of the float32 pass; this test sees it."""
+    from gasaunet import tensor as T
+
+    received = []  # (closure name, output dtype, gradient dtype) per backward call
+    node = T._node
+
+    def recording_node(data, parents, backward):
+        name, dtype = backward.__qualname__.split(".")[0], np.asarray(data).dtype
+
+        def bw(g):
+            received.append((name, dtype, g.dtype))
+            backward(g)
+
+        return node(data, parents, bw)
+
+    monkeypatch.setattr(T, "_node", recording_node)
+    model = tiny_model()
+    ckpt, _ = train(model, tiny_data(), TrainConfig(epochs=1, iters_per_epoch=1, batch=2, patch_size=(8, 8, 8)))
+    convs = [r for r in received if r[0] == "conv3d"]
+    assert len(convs) == 2 * 7  # per sample: 4 encoder convs, the reduce, the post and the head
+    assert all(out == g == np.float32 for _, out, g in convs)
+    assert all(out == g for _, out, g in received)
+    assert {out for _, out, _ in received} == {np.dtype(np.float32), np.dtype(np.float64)}
+    for name, p in model.named_params():
+        assert p.data.dtype == p.grad.dtype == ckpt.momentum[name].dtype == np.float64, name

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,39 @@ def test_bad_magic_raises(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
     (tmp_path / "bad.gvol.json").write_text("{}")
     with pytest.raises(FormatError):
+        read_volume(path)
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("JSON object", lambda h: [h]),
+        ("shape", lambda h: {**h, "shape": 5}),
+        ("shape", lambda h: {**h, "shape": [None, 2, 2, 2]}),
+        ("shape", lambda h: {**h, "shape": [1, 2, True, 2]}),
+        ("dtype", lambda h: {**h, "dtype": []}),
+        ("spacing", lambda h: {**h, "spacing": 2.0}),
+        ("spacing", lambda h: {**h, "spacing": ["a", "b", "c"]}),
+        ("spacing", lambda h: {**h, "spacing": [1.0, 0.0, 1.0]}),
+        ("origin", lambda h: {**h, "origin": 3}),
+        ("kind", lambda h: {k: v for k, v in h.items() if k != "kind"}),
+    ],
+)
+def test_mistyped_header_field_raises_format_error_naming_file_and_field(tmp_path, field, edit):
+    path = tmp_path / "case.gvol"
+    write_volume(make_image(np.zeros((1, 2, 2, 2))), path)
+    header_path = tmp_path / "case.gvol.json"
+    header_path.write_text(json.dumps(edit(json.loads(header_path.read_text()))))
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: header.*{field}"):
+        read_volume(path)
+
+
+def test_shape_that_does_not_fit_the_kind_names_the_file(tmp_path):
+    path = tmp_path / "case.gvol"
+    write_volume(make_image(np.zeros((1, 2, 2, 2))), path)
+    header_path = tmp_path / "case.gvol.json"
+    header_path.write_text(json.dumps({**json.loads(header_path.read_text()), "shape": [2, 2, 2]}))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         read_volume(path)
 
 
