@@ -22,10 +22,12 @@ gradient checks and checkpoints are float64.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     InvalidConfig,
@@ -466,9 +468,10 @@ def upsample_nearest(a: Tensor, factors: Sequence[int]) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            c, w, h, d = a.shape
-            g = g.reshape(c, w, fw, h, fh, d, fd).sum(axis=(2, 4, 6))
-            a.accumulate_grad(g)
+            # each input voxel sums its fw*fh*fd copies: strided slices per axis
+            g = sum(g[:, i::fw] for i in range(fw))
+            g = sum(g[:, :, i::fh] for i in range(fh))
+            a.accumulate_grad(sum(g[:, :, :, i::fd] for i in range(fd)))
 
     return _node(out_data, (a,), bw)
 
@@ -478,41 +481,92 @@ def upsample_nearest(a: Tensor, factors: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def einsum(spec: str, *operands: Tensor) -> Tensor:
-    """np.einsum over an explicit "ab,bc->ac" spec, differentiable in every operand.
-
-    The gradient of an operand is the einsum of the output gradient with the
-    other operands, written back to that operand's indices. For that to be
-    a plain contraction, no operand may repeat an index (no diagonals), and
-    every index of an operand must also appear in the output or in another
-    operand (no index that only one operand sums away).
-    """
-    lhs, arrow, out_idx = spec.replace(" ", "").partition("->")
+@functools.lru_cache(maxsize=256)
+def _einsum_plan(spec: str, shape_a: tuple[int, ...], shape_b: tuple[int, ...]):
+    """Validate a two-operand spec against the operand shapes and return the
+    matmul plan (perm_a, mat_a, perm_b, mat_b, mid, perm_out): operand A
+    transposed by perm_a and reshaped to mat_a = [batch, free-A, contracted],
+    B transposed by perm_b and reshaped to mat_b = [batch, contracted,
+    free-B]; their matmul, reshaped to mid and transposed by perm_out, is the
+    output. The batch axis is left out when there is no batch index. Cached
+    per (spec, shapes), so a repeated contraction neither parses nor checks."""
+    lhs, arrow, out_idx = spec.partition("->")
     terms = lhs.split(",")
-    if not arrow or len(terms) != len(operands):
-        raise ShapeMismatch(f"einsum spec {spec!r} needs '->' and one term per operand ({len(operands)})")
+    if not arrow or len(terms) != 2:
+        raise ShapeMismatch(f"einsum spec {spec!r} needs '->' and one term per operand (2)")
     extents: dict[str, int] = {}
-    for i, (term, t) in enumerate(zip(terms, operands)):
-        if len(term) != t.data.ndim or len(set(term)) != len(term):
-            raise ShapeMismatch(f"einsum term {term!r} does not index operand {i} of shape {t.shape} once per axis")
-        elsewhere = out_idx + "".join(terms[:i] + terms[i + 1 :])
-        for idx, n in zip(term, t.shape):
+    for i, (term, shape) in enumerate(zip(terms, (shape_a, shape_b))):
+        if len(term) != len(shape) or len(set(term)) != len(term):
+            raise ShapeMismatch(f"einsum term {term!r} does not index operand {i} of shape {shape} once per axis")
+        elsewhere = out_idx + terms[1 - i]
+        for idx, n in zip(term, shape):
             if idx not in elsewhere:
                 raise ShapeMismatch(f"einsum index {idx!r} of term {term!r} appears in no other term or the output")
             if extents.setdefault(idx, n) != n:
                 raise ShapeMismatch(f"einsum index {idx!r} has extents {extents[idx]} and {n} in {spec!r}")
     if len(set(out_idx)) != len(out_idx) or not set(out_idx) <= set(extents):
         raise ShapeMismatch(f"einsum output {out_idx!r} repeats an index or names one no operand has")
-    arrays = [_data(t) for t in operands]
-    out_data = np.einsum(spec, *arrays, optimize=True)
+    ta, tb = terms
+    batch = [i for i in out_idx if i in ta and i in tb]
+    free_a = [i for i in ta if i in out_idx and i not in tb]
+    free_b = [i for i in tb if i in out_idx and i not in ta]
+    contracted = [i for i in ta if i not in out_idx]
+
+    def size(indices):
+        return math.prod(extents[i] for i in indices)
+
+    lead = (size(batch),) if batch else ()
+    mid = batch + free_a + free_b
+    return (
+        tuple(ta.index(i) for i in batch + free_a + contracted),
+        lead + (size(free_a), size(contracted)),
+        tuple(tb.index(i) for i in batch + contracted + free_b),
+        lead + (size(contracted), size(free_b)),
+        tuple(extents[i] for i in mid),
+        tuple(mid.index(i) for i in out_idx),
+    )
+
+
+def _contract(spec: str, a: Array, b: Array) -> Array:
+    """np.einsum(spec, a, b) as one np.matmul by the cached plan."""
+    perm_a, mat_a, perm_b, mat_b, mid, perm_out = _einsum_plan(spec, a.shape, b.shape)
+    out = np.matmul(a.transpose(perm_a).reshape(mat_a), b.transpose(perm_b).reshape(mat_b))
+    return out.reshape(mid).transpose(perm_out)
+
+
+def einsum(spec: str, *operands: Tensor) -> Tensor:
+    """Contraction of two operands over an explicit "ab,bc->ac" spec,
+    differentiable in both.
+
+    Each index is a batch index (in both operands and the output), a free
+    index (in one operand and the output) or a contracted one (in both
+    operands only). So the contraction is one np.matmul of the operands
+    transposed and reshaped to [batch, free-A, contracted] and [batch,
+    contracted, free-B]; the plan for that is built once per (spec, shapes)
+    and cached (`_einsum_plan`). np.einsum is never called: for the small
+    token and plane contractions here its Python dispatch costs several
+    times the matmul. The gradient of an operand is the contraction of the
+    output gradient with the other operand, written back to that operand's
+    indices, and runs through the same plans. For that to be a plain
+    contraction, no operand may repeat an index (no diagonals), and every
+    index of an operand must also appear in the output or in the other
+    operand (no index that only one operand sums away). Any other operand
+    count raises ShapeMismatch.
+    """
+    if len(operands) != 2:
+        raise ShapeMismatch(f"einsum takes two operands, got {len(operands)}")
+    a, b = operands
+    spec = spec.replace(" ", "")
+    ad, bd = _data(a), _data(b)
+    out_data = _contract(spec, ad, bd)
 
     def bw(g):
-        for i, t in enumerate(operands):
-            if t.requires_grad:
-                rest = [j for j in range(len(operands)) if j != i]
-                spec_i = ",".join([out_idx] + [terms[j] for j in rest]) + "->" + terms[i]
-                gi = np.einsum(spec_i, g, *(arrays[j] for j in rest), optimize=True)
-                t.accumulate_grad(np.ascontiguousarray(gi))
+        lhs, _, out_idx = spec.partition("->")
+        ta, tb = lhs.split(",")
+        if a.requires_grad:
+            a.accumulate_grad(np.asarray(_contract(f"{out_idx},{tb}->{ta}", g, bd), order="C"))
+        if b.requires_grad:
+            b.accumulate_grad(np.asarray(_contract(f"{out_idx},{ta}->{tb}", g, ad), order="C"))
 
     return _node(out_data, operands, bw)
 
@@ -666,6 +720,15 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
     xp[:, off_k : off_k + L]. Outputs computed at pad positions of H and D
     are garbage and are cropped; the trailing zeros let the last slices fit.
     The loops run over blocks of about _CONV_BLOCK columns.
+
+    The forward pass and dx keep one matmul per offset: batching them was
+    slower or took more memory, as measured. The weight gradient takes one
+    matmul per block against a read-only strided view [kw, kh, kd, Cin, L]
+    of the padded input, whose window (a, b, c) is the offset's slice. That
+    view must not be reshaped to [K, Cin, L]: its strides do not merge, so
+    the reshape would copy a K-fold column buffer. Each window's product and
+    the sum over blocks are those of the per-offset loop, so dW equals that
+    loop's result bit for bit.
     """
     cin, w_, h_, d_ = xd.shape
     cout, _, kw, kh, kd = wd.shape
@@ -703,11 +766,14 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
             g = g_out.reshape(cout, span)
         dw = dx = None
         if need_w:
-            dwk = np.zeros_like(wk)
+            # windows[a, b, c, :, l] = xf[:, off_k + l], a read-only view of xf
+            s_ch, s_col = xf.strides
+            windows = as_strided(xf, (kw, kh, kd, cin, span), (plane * s_col, dp * s_col, s_col, s_ch, s_col),
+                                 writeable=False)
+            dwk = np.zeros((kw, kh, kd, cout, cin), dtype=wk.dtype)
             for lo, hi in blocks:
-                for k, off in enumerate(offsets):
-                    dwk[k] += g[:, lo:hi] @ xf[:, off + lo : off + hi].T
-            dw = np.ascontiguousarray(dwk.transpose(1, 2, 0)).reshape(wd.shape)
+                dwk += np.matmul(g[:, lo:hi], windows[..., lo:hi].swapaxes(-1, -2))
+            dw = np.ascontiguousarray(dwk.transpose(3, 4, 0, 1, 2))
         if need_x:
             dxf = np.zeros_like(xf)
             for lo, hi in blocks:
@@ -721,12 +787,16 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
 
 def _conv3d_gather(xd: Array, wd: Array, stride, padding, out_shape):
     """Any-stride convolution as im2col + one matmul; col2im in backward."""
-    cin = xd.shape[0]
+    cin, w_, h_, d_ = xd.shape
     cout, _, kw, kh, kd = wd.shape
     _, ow, oh, od = out_shape
     sw, sh, sd = stride
     pw, ph, pd = padding
-    xp = np.pad(xd, ((0, 0), (pw, pw), (ph, ph), (pd, pd))) if pw or ph or pd else xd
+    if pw or ph or pd:
+        xp = np.zeros((cin, w_ + 2 * pw, h_ + 2 * ph, d_ + 2 * pd), dtype=xd.dtype)
+        xp[:, pw : pw + w_, ph : ph + h_, pd : pd + d_] = xd
+    else:
+        xp = xd
     along_w = [slice(a, a + sw * ow, sw) for a in range(kw)]
     along_h = [slice(a, a + sh * oh, sh) for a in range(kh)]
     along_d = [slice(a, a + sd * od, sd) for a in range(kd)]
@@ -746,7 +816,7 @@ def _conv3d_gather(xd: Array, wd: Array, stride, padding, out_shape):
             dxp = np.zeros_like(xp)
             for k, win in enumerate(windows):
                 dxp[win] += dcols[:, k]
-            dx = dxp[:, pw : pw + xd.shape[1], ph : ph + xd.shape[2], pd : pd + xd.shape[3]]
+            dx = dxp[:, pw : pw + w_, ph : ph + h_, pd : pd + d_]
         return dx, dw
 
     return out_data, grads

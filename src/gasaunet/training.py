@@ -14,6 +14,7 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -137,7 +138,8 @@ def checkpoint_from_model(
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """magic + version + JSON header + concatenated float64 payloads.
+    """magic + version + JSON header + concatenated float64 payloads. The
+    header's `payload_crc32` is the zlib CRC-32 of the payload bytes.
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path` in one step: a save that fails part-way leaves an earlier
@@ -150,11 +152,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     for name, arr in tensors:
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size * 8
+    payload = b"".join(np.ascontiguousarray(arr, dtype=np.float64).tobytes() for _, arr in tensors)
     header = {
         "backbone": _backbone_to_dict(ckpt.backbone),
         "epoch": ckpt.epoch,
         "rng": list(ckpt.rng_state),
         "extra": ckpt.extra,
+        "payload_crc32": zlib.crc32(payload),
         "tensors": table,
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -165,8 +169,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             fh.write(CKPT_MAGIC)
             fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
             fh.write(blob)
-            for _, arr in tensors:
-                fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -191,8 +194,10 @@ def _int_list(path, table, key: str, where: str = "header") -> list[int]:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; a header field that is missing or mistyped, a
-    truncated payload or a non-finite tensor raises VersionMismatch naming
-    the file and the field or tensor."""
+    truncated payload, a non-finite tensor or a payload whose CRC-32 differs
+    from the header's `payload_crc32` raises VersionMismatch naming the file
+    and the field or tensor. Files written before the checksum existed have
+    no `payload_crc32` and load unchecked."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise VersionMismatch(f"{path}: bad checkpoint magic")
@@ -225,6 +230,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             params[name[2:]] = arr
         else:
             momentum[name[2:]] = arr
+    if "payload_crc32" in header:
+        crc = _header_field(path, header, "payload_crc32", int)
+        if zlib.crc32(payload) != crc:
+            raise VersionMismatch(f"{path}: checkpoint payload does not match its CRC-32 {crc} (corrupted)")
     rng_state = tuple(_int_list(path, header, "rng"))
     if len(rng_state) != 2:
         raise VersionMismatch(f"{path}: checkpoint header field 'rng' must hold (seed, counter)")

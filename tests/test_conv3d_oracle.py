@@ -6,6 +6,8 @@ runs through the public op and through each internal path that accepts it,
 so a change to the path selection cannot hide a broken path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,74 @@ def test_conv3d_paths_match_reference(name):
         np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=ATOL)
         assert grads(g, False, False) == (None, None)
 
+
+
+def loop_weight_grad(x, w_shape, padding, g_out):
+    """The shifted-slice weight gradient as 27 products per column block,
+    one per kernel offset, accumulated in the order _conv3d_shifted uses."""
+    cin, w_, h_, d_ = x.shape
+    cout, _, kw, kh, kd = w_shape
+    pw, ph, pd = padding
+    _, ow, oh, od = g_out.shape
+    hp, dp = h_ + 2 * ph, d_ + 2 * pd
+    plane = hp * dp
+    n_grid = (w_ + 2 * pw) * plane
+    span = ow * plane
+    xf = np.zeros((cin, n_grid + (kh - 1) * dp + kd - 1), dtype=x.dtype)
+    xf[:, :n_grid].reshape(cin, -1, hp, dp)[:, pw : pw + w_, ph : ph + h_, pd : pd + d_] = x
+    g = np.zeros((cout, ow, hp, dp), dtype=g_out.dtype)
+    g[:, :, :oh, :od] = g_out
+    g = g.reshape(cout, span)
+    n_blocks = max(1, round(span / T._CONV_BLOCK))
+    dwk = np.zeros((kw * kh * kd, cout, cin), dtype=x.dtype)
+    for i in range(n_blocks):
+        lo, hi = span * i // n_blocks, span * (i + 1) // n_blocks
+        for k, (a, bb, c) in enumerate(np.ndindex(kw, kh, kd)):
+            off = a * plane + bb * dp + c
+            dwk[k] += g[:, lo:hi] @ xf[:, off + lo : off + hi].T
+    return np.ascontiguousarray(dwk.transpose(1, 2, 0)).reshape(w_shape)
+
+
+# (cin, cout, edge): the bottleneck, middle and full-resolution decoder convs
+# of the default 16^3 model, and a 32^3 grid that spans several column blocks
+WEIGHT_GRAD_SHAPES = [(32, 32, 4), (16, 16, 8), (16, 8, 16), (4, 4, 32)]
+
+
+@pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+@pytest.mark.parametrize("cin, cout, edge", WEIGHT_GRAD_SHAPES)
+def test_shifted_weight_gradient_is_bitwise_the_loop(dtype, uint, cin, cout, edge):
+    """The batched weight gradient does the loop's products and sums in the
+    loop's order, so it matches it bit for bit, not just to a tolerance."""
+    rng = Rng(cin + edge)
+    x = rng.normal_array(cin * edge ** 3).reshape(cin, edge, edge, edge).astype(dtype)
+    w = rng.normal_array(cout * cin * 27).reshape(cout, cin, 3, 3, 3).astype(dtype)
+    out_shape = (cout, edge, edge, edge)
+    g = rng.normal_array(cout * edge ** 3).reshape(out_shape).astype(dtype)
+    if edge == 32:
+        assert round(edge * (edge + 2) ** 2 / T._CONV_BLOCK) > 1
+    _, grads = T._conv3d_shifted(x, w, (1, 1, 1), out_shape)
+    _, dw = grads(g, False, True)
+    ref = loop_weight_grad(x, w.shape, (1, 1, 1), g)
+    assert dw.dtype == ref.dtype and dw.shape == ref.shape and dw.flags.c_contiguous
+    assert np.array_equal(dw.view(uint), ref.view(uint))
+
+
+def test_shifted_backward_allocates_no_window_copy():
+    """The weight gradient reads the 27 kernel windows as a strided view of
+    the padded input: a float32 16->8 backward at 16^3 peaks at ~2.4x the
+    padded input's bytes, where a copied window stack would take ~27x."""
+    rng = Rng(9)
+    x = rng.normal_array(16 * 16 ** 3).reshape(16, 16, 16, 16).astype(np.float32)
+    w = rng.normal_array(8 * 16 * 27).reshape(8, 16, 3, 3, 3).astype(np.float32)
+    g = rng.normal_array(8 * 16 ** 3).reshape(8, 16, 16, 16).astype(np.float32)
+    _, grads = T._conv3d_shifted(x, w, (1, 1, 1), (8, 16, 16, 16))
+    padded_bytes = 16 * 18 ** 3 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dx, dw = grads(g, True, True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == x.shape and dw.shape == w.shape
+    assert peak < 4 * padded_bytes

@@ -1,10 +1,12 @@
 """Property tests of the on-disk formats: every mistyped .gvol header field
-raises FormatError naming the file and the field, and a truncated or
-byte-flipped checkpoint is either rejected with VersionMismatch or loads."""
+raises FormatError naming the file and the field, a truncated or
+byte-flipped checkpoint is either rejected with VersionMismatch or loads,
+and a byte flipped inside the checkpoint payload is always rejected."""
 
 import json
 import math
 import re
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -99,10 +101,10 @@ def test_truncated_checkpoint_raises_version_mismatch(tmp_path_factory, tmp_path
 @given(data=st.data())
 def test_byte_flipped_checkpoint_raises_version_mismatch_or_loads(tmp_path_factory, tmp_path, data):
     """A flip in the magic, the version or the header length is always
-    rejected. Elsewhere a flip may leave a valid file, for instance a finite
-    payload value or a digit of the epoch; then loading, building the model
-    and reading the evaluation fingerprint all succeed. No flip raises any
-    other exception."""
+    rejected. Elsewhere in the header a flip may leave a valid file, for
+    instance a digit of the epoch; then loading, building the model and
+    reading the evaluation fingerprint all succeed. No flip raises any other
+    exception."""
     raw = bytearray(checkpoint_bytes(tmp_path_factory.getbasetemp()))
     at = data.draw(st.integers(0, len(raw) - 1))
     raw[at] ^= data.draw(st.integers(1, 255))
@@ -115,3 +117,18 @@ def test_byte_flipped_checkpoint_raises_version_mismatch_or_loads(tmp_path_facto
     except VersionMismatch:
         return
     assert at >= len(CKPT_MAGIC) + 12, f"a flip of byte {at} in the fixed-size prefix loaded"
+
+
+@FIXTURE_OK
+@given(data=st.data())
+def test_payload_byte_flip_raises_version_mismatch(tmp_path_factory, tmp_path, data):
+    """The header's CRC-32 of the payload catches every single-byte flip
+    there, including one that leaves a finite float64."""
+    raw = bytearray(checkpoint_bytes(tmp_path_factory.getbasetemp()))
+    _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
+    at = data.draw(st.integers(len(CKPT_MAGIC) + 12 + hlen, len(raw) - 1))
+    raw[at] ^= data.draw(st.integers(1, 255))
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionMismatch, match=re.escape(str(path))):
+        load_checkpoint(path)

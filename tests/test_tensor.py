@@ -93,6 +93,8 @@ def test_einsum_same_operand_twice():
     ("ijk,jk->ik", [(2, 3), (3, 4)]),    # term longer than the operand's rank
     ("ij,jk->iik", [(2, 3), (3, 4)]),    # output repeats an index
     ("ij,jk->iz", [(2, 3), (3, 4)]),     # output names an index no operand has
+    ("ij->ij", [(2, 3)]),                # one operand
+    ("ij,jk,kl->il", [(2, 3), (3, 4), (4, 5)]),  # three operands
 ])
 def test_einsum_rejects_bad_specs(spec, shapes):
     ops = [Tensor(np.ones(s)) for s in shapes]
@@ -384,6 +386,21 @@ def test_upsample_nearest_and_gradient():
 
     f().backward()
     assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-6
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2), (1, 2, 2), (3, 1, 2)])
+def test_upsample_nearest_gradient_matches_reshape_sum(factors):
+    """Each input voxel's gradient is the sum over its fw*fh*fd copies."""
+    fw, fh, fd = factors
+    rng = Rng(71)
+    c, w, h, d = 3, 2, 4, 3
+    x = Tensor(rng.normal_array(c * w * h * d).reshape(c, w, h, d), requires_grad=True)
+    out = T.upsample_nearest(x, factors)
+    g = rng.normal_array(out.size).reshape(out.shape)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    ref = g.reshape(c, w, fw, h, fh, d, fd).sum(axis=(2, 4, 6))
+    assert x.grad.shape == x.shape
+    assert np.allclose(x.grad, ref, rtol=1e-12, atol=0)
 
 
 def test_concat_and_row_selection_gradients():

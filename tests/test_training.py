@@ -242,6 +242,7 @@ def _without(table, key):
     (lambda h: _without(h, "rng") or h, "rng"),
     (lambda h: {**h, "rng": [1]}, "rng"),
     (lambda h: {**h, "extra": []}, "extra"),
+    (lambda h: {**h, "payload_crc32": "0"}, "payload_crc32"),
 ])
 def test_malformed_checkpoint_header_names_file_and_field(tmp_path, edit, field):
     path = tmp_path / "model.ckpt"
@@ -249,6 +250,14 @@ def test_malformed_checkpoint_header_names_file_and_field(tmp_path, edit, field)
     _rewrite_header(path, edit)
     with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*'{field}'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_without_payload_checksum_loads(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt = _saved_untrained_checkpoint(path)
+    _rewrite_header(path, lambda h: _without(h, "payload_crc32") or h)
+    loaded = load_checkpoint(path)
+    assert all(np.array_equal(loaded.params[k], v) for k, v in ckpt.params.items())
 
 
 def test_non_finite_loss_stops_training():
