@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
+from .tensor import keep_heap_resident
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
@@ -149,12 +150,16 @@ def evaluate_split(
     Predictions are resampled from the processing grid to each case's
     original spacing and shape before Dice and NSD are computed against the
     untouched labels.
+    Every tile rebuilds buffers of the same shapes, so the first call sets
+    the process's allocator to keep freed memory (tensor.keep_heap_resident):
+    from then on the process's resident memory stays at its peak.
     """
     from .metrics import MetricReport, evaluate_case
     from .volume import Volume, resample_labels
 
     if not data.test:
         raise ValueError("no held-out cases to evaluate")
+    keep_heap_resident()
     cases = []
     for case in data.test:
         rs = case.resampled_shape

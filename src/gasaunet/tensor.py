@@ -22,6 +22,7 @@ gradient checks and checkpoints are float64.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 from typing import Callable, Iterable, Sequence
@@ -270,6 +271,56 @@ def precision(dtype):
         yield
     finally:
         _dtype = previous
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+_heap_kept: bool | None = None
+
+
+def _find_mallopt():
+    """The C library's mallopt(int, int) -> int, or None where the process's
+    C library has none (musl, macOS, Windows)."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_int)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def keep_heap_resident() -> bool:
+    """Keep freed memory in this process's heap instead of returning it to
+    the kernel; True when the C library accepted both settings.
+
+    A training step or an inference tile rebuilds buffers of the same shapes
+    every time. By default glibc serves arrays above its (dynamic) mmap
+    threshold with fresh mappings and trims the heap top once 128 KiB of it
+    are free, so each step's arrays are faulted in and zero-filled by the
+    kernel again. This sets M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD
+    to 1 GiB; setting either also stops glibc from moving the mmap threshold,
+    which is why both are set (a trim threshold alone can freeze the mmap
+    threshold at 128 KiB and make every array an mmap). The process's
+    resident memory then stays at its peak: no array, value or result
+    changes.
+
+    The setting is process-wide and one-way (glibc has no getter to restore
+    it), so it is applied on the first call only and later calls return the
+    first call's result. Where there is no mallopt the call does nothing
+    and returns False, as it does when the C library refuses a setting.
+    """
+    global _heap_kept
+    if _heap_kept is None:
+        mallopt = _find_mallopt()
+        _heap_kept = mallopt is not None and all(
+            [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1,
+             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1]
+        )
+    return _heap_kept
 
 
 def _data(t: Tensor) -> Array:
@@ -630,7 +681,8 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, slope: float | None = 
     xd, gd = _data(x), _data(gamma)
     y = xd - xd.mean(axis=(1, 2, 3), keepdims=True)
     flat = y.reshape(c, n)
-    inv_std = 1.0 / np.sqrt(np.einsum("cn,cn->c", flat, flat) / n + _NORM_EPS)
+    # per-channel dot products as one batched matmul ([c, 1, n] by [c, n, 1])
+    inv_std = 1.0 / np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).reshape(c) / n + _NORM_EPS)
     y *= inv_std.reshape(per_channel)
     out_data = y * gd.reshape(per_channel)
     out_data += _data(beta).reshape(per_channel)
@@ -644,7 +696,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, slope: float | None = 
             g = _leaky_grad(g, ~(out_data <= 0), slope)
         g_flat = g.reshape(c, n)
         dbeta = g_flat.sum(axis=1)
-        dgamma = np.einsum("cn,cn->c", g_flat, flat)
+        dgamma = np.matmul(g_flat[:, None, :], flat[:, :, None]).reshape(c)
         if gamma.requires_grad:
             gamma.accumulate_grad(dgamma)
         if beta.requires_grad:

@@ -25,7 +25,7 @@ from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, V
 from .gasa import GasaConfig
 from .losses import soft_dice_ce_loss
 from .phantom import load_manifest
-from .tensor import Rng, Tensor, precision
+from .tensor import Rng, Tensor, keep_heap_resident, precision
 from .volume import NormStats, clip_normalize, compute_norm_stats, read_volume, resample_image, resample_labels, target_spacing
 
 CKPT_MAGIC = b"GASACKPT1"
@@ -216,7 +216,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         where = f"tensor table entry {i}"
         name = _header_field(path, entry, "name", str, where)
         shape = tuple(_int_list(path, entry, "shape", where))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         start = _header_field(path, entry, "offset", int, where)
         if start < 0 or start + 8 * n > len(payload):
             raise VersionMismatch(
@@ -415,10 +415,14 @@ def train(
     the optimizer step; resume momentum that does not match the model's
     parameters by name and shape raises VersionMismatch before the first
     step.
+    Every step rebuilds buffers of the same shapes, so the first call sets
+    the process's allocator to keep freed memory (tensor.keep_heap_resident):
+    from then on the process's resident memory stays at its peak.
     """
     cfg.validate()
     if not data.train:
         raise ValueError("training split is empty")
+    keep_heap_resident()
     named = list(model.named_params())
     if resume is not None:
         for name, p in named:

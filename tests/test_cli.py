@@ -133,6 +133,22 @@ def test_eval_malformed_checkpoint_header_exits_2(tmp_path, capsys):
     assert str(ckpt) in err and "'tensors'" in err
 
 
+def test_eval_checkpoint_with_a_shape_too_large_for_int64_exits_2(tmp_path, capsys):
+    cfg = make_backbone_config(1, 3, (8, 8, 8), stage_channels=(2, 4, 8), d_model=2, heads=1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(cfg, Rng(0)), {}, 0, Rng(0)), ckpt)
+    raw = ckpt.read_bytes()
+    start = len(CKPT_MAGIC) + 12
+    _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
+    header = json.loads(raw[start : start + hlen])
+    header["tensors"][0]["shape"] = [2**32, 2**32]
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob + raw[start + hlen :])
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"tensor {header['tensors'][0]['name']} needs payload bytes" in err
+
+
 @pytest.mark.parametrize("extra, field", [
     ({}, "patch_size"),
     ({"patch_size": [8, 8, 8]}, "stats"),

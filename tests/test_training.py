@@ -252,6 +252,16 @@ def test_malformed_checkpoint_header_names_file_and_field(tmp_path, edit, field)
         load_checkpoint(path)
 
 
+def test_checkpoint_shape_whose_size_overflows_int64_names_file_and_tensor(tmp_path):
+    # 2**32 * 2**32 elements wrap to 0 in int64 arithmetic
+    path = tmp_path / "model.ckpt"
+    ckpt = _saved_untrained_checkpoint(path)
+    _rewrite_header(path, lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [2**32, 2**32]}]})
+    first = f"p.{list(ckpt.params)[0]}"
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*{re.escape(first)} needs payload bytes"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_without_payload_checksum_loads(tmp_path):
     path = tmp_path / "model.ckpt"
     ckpt = _saved_untrained_checkpoint(path)
