@@ -192,9 +192,6 @@ class GasaUNet:
             h = self.post[idx].forward(h)
         return T.conv3d(h, self.head_w, self.head_b)
 
-    def __call__(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
-        return self.forward(x, training=training, rng=rng)
-
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Inference helper: numpy in, float64 logits out, no dropout, no graph.
 

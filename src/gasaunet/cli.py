@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .backbone import build_model, count_model_params, make_backbone_config
-from .errors import GasaUNetError
+from .errors import GasaUNetError, VersionMismatch
 from .gasa import PE_MODES
 from .inference import SlidingWindowConfig, evaluate_split
 from .metrics import kits_hec
@@ -229,7 +229,15 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     ckpts = [load_checkpoint(p) for p in args.ckpt]
     models = [model_from_checkpoint(c) for c in ckpts]
-    patch, stats, spacing = eval_fingerprint(ckpts[0], args.ckpt[0])
+    # an ensemble is preprocessed once, so its members must agree on how
+    fingerprints = [eval_fingerprint(c, p) for c, p in zip(ckpts, args.ckpt)]
+    for path, fingerprint in zip(args.ckpt[1:], fingerprints[1:]):
+        for field, value, first in zip(("patch_size", "stats", "spacing"), fingerprint, fingerprints[0]):
+            if value != first:
+                raise VersionMismatch(
+                    f"{path}: checkpoint extra field {field!r} is {value}, but {args.ckpt[0]} has {first}"
+                )
+    patch, stats, spacing = fingerprints[0]
     manifest, root = load_manifest(args.data)
     # preprocess with the training-time fingerprint, not one recomputed here
     data = preprocess_manifest(manifest, root, patch, stats=stats, spacing=spacing)

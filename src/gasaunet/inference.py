@@ -64,15 +64,13 @@ def sliding_window_predict(
     model: ModelFn,
     volume: np.ndarray,
     swc: SlidingWindowConfig,
-    tile_order: Sequence[tuple[int, int, int]] | None = None,
 ) -> np.ndarray:
     """Blend window softmaxes into a per-voxel probability map.
 
     `model` maps a [C, pw, ph, pd] window to [K, pw, ph, pd] logits. Volumes
     smaller than the patch are zero-padded and the output cropped back; final
-    tiles clamp to the boundary so every voxel is covered. tile_order
-    overrides the visitation order of the same tile set (the result must not
-    depend on it beyond float rounding).
+    tiles clamp to the boundary so every voxel is covered. The result does
+    not depend on the order the tiles are visited in, beyond float rounding.
     """
     swc.validate()
     if volume.ndim != 4:
@@ -88,7 +86,7 @@ def sliding_window_predict(
     starts = [_tile_starts(n, p, swc.overlap) for n, p in zip(spatial, patch)]
     acc: np.ndarray | None = None
     wacc = np.zeros(spatial)
-    for i, j, k in tile_order if tile_order is not None else product(*starts):
+    for i, j, k in product(*starts):
         sl = (slice(None), slice(i, i + patch[0]), slice(j, j + patch[1]), slice(k, k + patch[2]))
         logits = model(volume[sl])
         if logits.ndim != 4 or logits.shape[1:] != patch:

@@ -201,48 +201,6 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def tensor_new(shape: Sequence[int], values: Sequence[float], requires_grad: bool = False) -> Tensor:
-    """Leaf tensor from an explicit shape and flat row-major value list."""
-    shape = tuple(int(s) for s in shape)
-    vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = 1
-    for s in shape:
-        n *= s
-    if n != vals.size:
-        raise ShapeMismatch(f"shape {shape} needs {n} values, got {vals.size}")
-    return Tensor(vals.reshape(shape), requires_grad=requires_grad)
-
 
 _grad_enabled = True
 _dtype = np.dtype(np.float64)
@@ -370,18 +328,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = _data(a) - _data(b)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return _node(out_data, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = _data(a), _data(b)
     out_data = ad * bd
@@ -393,43 +339,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * ad, b.shape))
 
     return _node(out_data, (a, b), bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    out_data = ad / bd
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / bd, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * ad / (bd * bd), b.shape))
-
-    return _node(out_data, (a, b), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    ad = _data(a)
-    out_data = np.log(ad)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / ad)
-
-    return _node(out_data, (a,), bw)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient is zero where the floor is active. A NaN
-    input stays NaN."""
-    ad = _data(a)
-    out_data = np.maximum(ad, floor)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (ad > floor))
-
-    return _node(out_data, (a,), bw)
 
 
 def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:

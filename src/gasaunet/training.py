@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .backbone import BackboneConfig, GasaUNet, build_model
 from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
 from .gasa import GasaConfig
@@ -92,11 +93,6 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
 
-def _backbone_to_dict(cfg: BackboneConfig) -> dict:
-    d = asdict(cfg)
-    return d
-
-
 def _backbone_from_dict(d: dict) -> BackboneConfig:
     gasa = d.get("gasa")
     cfg = BackboneConfig(
@@ -154,7 +150,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         offset += arr.size * 8
     payload = b"".join(np.ascontiguousarray(arr, dtype=np.float64).tobytes() for _, arr in tensors)
     header = {
-        "backbone": _backbone_to_dict(ckpt.backbone),
+        "backbone": asdict(ckpt.backbone),
         "epoch": ckpt.epoch,
         "rng": list(ckpt.rng_state),
         "extra": ckpt.extra,
@@ -455,8 +451,8 @@ def train(
                     case = data.train[rng.randint(len(data.train))]
                     img, onehot = _sample_patch(case, cfg.patch_size, rng, data.num_classes)
                     loss = sample_loss(model, img, onehot, rng)
-                    total = loss if total is None else total + loss
-                total = total * Tensor(1.0 / cfg.batch)
+                    total = loss if total is None else T.add(total, loss)
+                total = T.mul(total, Tensor(1.0 / cfg.batch))
                 loss_value = total.item()
                 if not math.isfinite(loss_value):
                     raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")

@@ -173,7 +173,7 @@ def _default_16cube():
 def test_graph_size_per_training_sample():
     model, x, onehot = _default_16cube()
     loss = soft_dice_ce_loss(model.forward(x, training=True, rng=Rng(2)), onehot)
-    assert len(_graph_nodes(loss)) <= 80
+    assert len(_graph_nodes(loss)) <= 56
 
 
 def test_forward_only_graph_freed_without_cyclic_gc():

@@ -165,6 +165,25 @@ def test_eval_checkpoint_without_training_fingerprint_exits_2(tmp_path, capsys, 
     assert str(ckpt) in err and f"extra field {field!r}" in err
 
 
+@pytest.mark.parametrize("field, change", [
+    ("patch_size", {"patch_size": [16, 16, 16]}),
+    ("stats", {"stats": {"p_lo": 0.0, "p_hi": 2.0, "mean": 0.0, "std": 1.0}}),
+    ("spacing", {"spacing": [1.0, 1.0, 2.0]}),
+])
+def test_eval_ensemble_with_mismatched_fingerprints_exits_2_naming_both_files(tmp_path, capsys, field, change):
+    cfg = make_backbone_config(1, 3, (8, 8, 8), stage_channels=(2, 4, 8), d_model=2, heads=1)
+    model = build_model(cfg, Rng(0))
+    extra = {"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0, "p_hi": 1.0, "mean": 0.0, "std": 1.0},
+             "spacing": [1.0, 1.0, 1.0]}
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(checkpoint_from_model(model, {}, 0, Rng(0), extra), first)
+    save_checkpoint(checkpoint_from_model(model, {}, 0, Rng(0), {**extra, **change}), second)
+    argv = ["eval", "--ckpt", str(first), str(second), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err and f"extra field {field!r}" in err
+
+
 @pytest.mark.parametrize("flag", [["--batch", "0"], ["--iters", "0"], ["--patch", "0"]])
 def test_train_rejects_empty_batches_and_epochs(dataset, tmp_path, capsys, flag):
     out = tmp_path / "run"
