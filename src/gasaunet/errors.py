@@ -52,3 +52,7 @@ class VersionMismatch(GasaUNetError):
 
 class NonFiniteLoss(GasaUNetError):
     """The training loss or a parameter's gradient became NaN or infinite."""
+
+
+class TrainingWorkerError(GasaUNetError):
+    """The process that computes part of each training batch failed or died."""

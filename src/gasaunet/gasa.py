@@ -238,6 +238,13 @@ def gasa_forward(
     return T.concat([x, vol], axis=0)
 
 
+def dropout_draws(cfg: GasaConfig) -> int:
+    """Random draws one training forward of the block consumes: one per
+    entry of the (W + H + D, d_model) attention output that dropout masks,
+    none when dropout_p is 0."""
+    return sum(cfg.spatial) * cfg.d_model if cfg.dropout_p > 0 else 0
+
+
 def count_gasa_params(cfg: GasaConfig) -> int:
     """Exact learnable-scalar count of one block."""
     cfg.validate()

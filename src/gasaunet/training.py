@@ -9,11 +9,17 @@ continues the exact trajectory of an unbroken one.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import mmap
 import os
+import platform
+import signal
 import struct
 import time
+import traceback
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,8 +28,8 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneConfig, GasaUNet, build_model
-from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
-from .gasa import GasaConfig
+from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, TrainingWorkerError, VersionMismatch
+from .gasa import GasaConfig, dropout_draws
 from .losses import soft_dice_ce_loss
 from .phantom import load_manifest
 from .tensor import Rng, Tensor, keep_heap_resident, precision
@@ -391,6 +397,253 @@ def sample_loss(model: GasaUNet, img: np.ndarray, onehot: np.ndarray, rng: Rng) 
     return soft_dice_ce_loss(logits, Tensor(onehot))
 
 
+def _sample_draws(cfg: BackboneConfig) -> int:
+    """Random draws one training sample consumes: its case, its three patch
+    corners and the GASA block's dropout mask."""
+    return 4 + (dropout_draws(cfg.gasa) if cfg.gasa is not None else 0)
+
+
+def _backprop_sample(model: GasaUNet, data: PreparedData, cfg: TrainConfig, rng: Rng, draws: int,
+                     weight: Tensor) -> float:
+    """Draw one patch from rng, backpropagate weight * its loss into freshly
+    zeroed parameter gradients, and return the loss. Sample i of a step
+    starts its draws at the step's counter + i * draws, so a sample that
+    consumes any other number raises."""
+    start = rng.counter
+    case = data.train[rng.randint(len(data.train))]
+    img, onehot = _sample_patch(case, cfg.patch_size, rng, data.num_classes)
+    loss = sample_loss(model, img, onehot, rng)
+    if rng.counter - start != draws:
+        raise RuntimeError(f"a training sample drew {rng.counter - start} random numbers, expected {draws}")
+    model.zero_grads()
+    T.mul(loss, weight).backward()
+    return loss.item()
+
+
+def _views(flat: np.ndarray, named: list[tuple[str, Tensor]]) -> list[np.ndarray]:
+    """One view of `flat` per parameter, shaped like it, in order."""
+    views, at = [], 0
+    for _, p in named:
+        views.append(flat[at : at + p.size].reshape(p.shape))
+        at += p.size
+    return views
+
+
+def _sum_grads(samples: list[list[np.ndarray | None]], views: list[np.ndarray]) -> None:
+    """Each view <- its parameter's gradients summed over the samples, in
+    sample order; a missing gradient counts as 0."""
+    for j, v in enumerate(views):
+        v[...] = 0.0 if samples[0][j] is None else samples[0][j]
+        for grads in samples[1:]:
+            if grads[j] is not None:
+                v += grads[j]
+
+
+def _fold(prefix: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """out <- ((prefix + rows[0]) + rows[1]) + ...: the batch gradient summed
+    in sample order. Both processes of a split batch run these same
+    operations, so they get the same bits."""
+    np.add(prefix, rows[0], out=out)
+    for row in rows[1:]:
+        out += row
+
+
+# ---------------------------------------------------------------------------
+# two-process batch
+# ---------------------------------------------------------------------------
+
+_PARENT, _WORKER, _ERROR_BYTES = 0, 1, 2   # slots of the shared flags
+_ERROR_ROOM = 1 << 16
+_SPINS_PER_CHECK = 1 << 14
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that NumPy loaded, or
+    None where no such pair is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for stem, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _split_batch(batch: int) -> bool:
+    """Whether train() runs the samples of each step in two processes. It
+    needs a batch of 2 or more, 2 or more usable CPUs, os.fork, the
+    OpenBLAS thread-count getter and setter, and an x86-64 CPU: the
+    processes publish buffers before their flags, and Python has no memory
+    fence, so this relies on x86-64 making stores visible in program order."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        batch >= 2
+        and hasattr(os, "fork")
+        and platform.machine().lower() in ("x86_64", "amd64")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+        and _openblas_threads() is not None
+    )
+
+
+class _BatchWorker:
+    """A forked process that computes samples [first, batch) of every step of
+    one train() call, while the parent computes samples [0, first).
+
+    The two processes share one anonymous mapping made before the fork: a
+    flag per process holding the last step it posted (the worker's is -1
+    once it failed), two sets of step buffers, for odd and for even steps,
+    and room for the worker's error message. A set holds the sum of the
+    parent's sample gradients (`prefix`) and the worker's per-sample
+    gradients (`rows`) and losses. Each process writes its buffers before
+    its flag and spins on the other's flag; blocking waits stalled the
+    step. Before a process writes a set for step k it has seen the other
+    post step k-1, which the other does only after it has read step k-2,
+    the set's previous use. Both sum the batch gradient with `_fold` and
+    take the same optimizer step, so the parameters never cross.
+    """
+
+    def __init__(self, named: list[tuple[str, Tensor]], first: int, batch: int):
+        n, rows = sum(p.size for _, p in named), batch - first
+        width = n + rows * n + rows
+        self._map = mmap.mmap(-1, 8 * (3 + 2 * width) + _ERROR_ROOM)
+        self.flags = np.frombuffer(self._map, np.int64, 3)
+        sets = np.frombuffer(self._map, np.float64, 2 * width, 8 * 3).reshape(2, width)
+        self.prefix = sets[:, :n]
+        self.rows = sets[:, n : n + rows * n].reshape(2, rows, n)
+        self.losses = sets[:, n + rows * n :]
+        self.error = np.frombuffer(self._map, np.uint8, _ERROR_ROOM, 8 * (3 + 2 * width))
+        self.prefix_views = [_views(prefix, named) for prefix in self.prefix]
+        self.row_views = [[_views(row, named) for row in rows] for rows in self.rows]
+        self.named, self.first, self.batch = named, first, batch
+        self.total = np.empty(n)   # each process's own batch gradient
+        self.total_views = _views(self.total, named)
+        self.parent = os.getpid()
+        self.pid: int | None = None
+        self.doing = ""
+
+    # -- both processes -----------------------------------------------------
+
+    def wait(self, slot: int, step: int) -> None:
+        """Spin until the other process posts `step` in `slot`, checking
+        now and then that it is still there."""
+        flags, spins = self.flags, 0
+        while flags[slot] != step:
+            spins += 1
+            if spins % _SPINS_PER_CHECK == 0 or flags[_WORKER] < 0:
+                self._check_other()
+
+    def _check_other(self) -> None:
+        """In the parent, raise if the worker failed or died; in the
+        worker, leave if the parent is gone."""
+        if os.getpid() != self.parent:
+            if os.getppid() != self.parent:
+                os._exit(1)
+            return
+        if self.flags[_WORKER] < 0:
+            text = bytes(self.error[: self.flags[_ERROR_BYTES]]).decode(errors="replace")
+            message, _, trace = text.partition("\n")
+            err = TrainingWorkerError(message)
+            if hasattr(err, "add_note"):
+                err.add_note(trace)
+            raise err
+        pid, status = os.waitpid(self.pid, os.WNOHANG)
+        if pid:
+            self.pid = None
+            raise TrainingWorkerError(f"the training worker died (wait status {status}) during {self.doing}")
+
+    # -- parent -------------------------------------------------------------
+
+    def start(self, *steps) -> None:
+        """Fork the worker, which runs run_steps(*steps) and leaves with
+        os._exit. A forked child starts with the parent's model, data,
+        momentum and RNG, so only gradients need to cross; it runs no other
+        thread (OpenBLAS shuts its pool down across a fork, and BLAS runs
+        one thread here)."""
+        pid = os.fork()
+        if pid:
+            self.pid = pid
+            return
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's KeyboardInterrupt reaps this process
+            self.run_steps(*steps)
+            code = 0
+        except BaseException as exc:
+            text = f"{self.doing} raised in the training worker: {type(exc).__name__}: {exc}\n"
+            data = (text + traceback.format_exc()).encode()[:_ERROR_ROOM]
+            self.error[: len(data)] = np.frombuffer(data, np.uint8)
+            self.flags[_ERROR_BYTES] = len(data)
+            self.flags[_WORKER] = -1
+        finally:
+            os._exit(code)
+
+    def gathered(self, step: int, own: list[list[np.ndarray | None]]) -> Tensor:
+        """A node standing for the worker's samples of `step`. Its backward
+        posts the sum of `own`, this process's sample gradients, waits for
+        the worker's, and sets each parameter's gradient to its part of the
+        batch gradient. Waiting in a backward pass keeps the wait inside the
+        span that an outside tracer gives backward()."""
+        k = step % 2
+
+        def bw(_g):
+            _sum_grads(own, self.prefix_views[k])
+            self.flags[_PARENT] = step
+            self.wait(_WORKER, step)
+            _fold(self.prefix[k], self.rows[k], self.total)
+            for (_, p), g in zip(self.named, self.total_views):
+                p.grad = g
+
+        return T._node(np.zeros(()), [p for _, p in self.named], bw)
+
+    def close(self, kill: bool = False) -> None:
+        """Reap the worker: after its last step it exits by itself; kill
+        stops it first, for a run that ends early."""
+        if self.pid is None:
+            return
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+    # -- worker -------------------------------------------------------------
+
+    def run_steps(self, model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray],
+                  rng: Rng, epochs: range, draws: int, weight: Tensor) -> None:
+        """The worker's side of train()'s loop: the same steps, samples
+        [first, batch) of each."""
+        step, last = 0, len(epochs) * cfg.iters_per_epoch
+        for epoch in epochs:
+            lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
+            for it in range(cfg.iters_per_epoch):
+                step += 1
+                k = step % 2
+                start = rng.counter
+                for j, i in enumerate(range(self.first, self.batch)):
+                    self.doing = f"sample {i} of epoch {epoch}, iteration {it}"
+                    rng_i = Rng(rng.seed, start + i * draws)
+                    self.losses[k, j] = _backprop_sample(model, data, cfg, rng_i, draws, weight)
+                    _sum_grads([[p.grad for _, p in self.named]], self.row_views[k][j])
+                self.flags[_WORKER] = step
+                if step == last:
+                    return   # nothing reads the worker's parameters after its last post
+                self.doing = f"the step of epoch {epoch}, iteration {it}"
+                self.wait(_PARENT, step)
+                _fold(self.prefix[k], self.rows[k], self.total)
+                for (_, p), g in zip(self.named, self.total_views):
+                    p.grad = g
+                rng = Rng(rng.seed, start + self.batch * draws)
+                sgd_nesterov_step(self.named, momentum, lr, cfg.momentum)
+
+
 def train(
     model: GasaUNet,
     data: PreparedData,
@@ -405,16 +658,37 @@ def train(
     run can be checkpointed and resumed on the identical trajectory. Returns
     the final checkpoint and the per-epoch log (epoch, lr, loss, seconds).
     Each sample's loss comes from sample_loss (float32 forward and
-    backward, float64 loss).
-    A non-finite loss raises NonFiniteLoss before its backward pass, and a
-    non-finite gradient raises it, naming the first such parameter, before
-    the optimizer step; resume momentum that does not match the model's
-    parameters by name and shape raises VersionMismatch before the first
-    step.
+    backward, float64 loss) and is backpropagated on its own; the batch
+    gradient is the sum of the samples' gradients in sample order, and
+    sample i of a step draws its random numbers from the step's RNG counter
+    + i * (draws per sample), as one sample after another would.
+    With a batch of 2 or more, 2 or more usable CPUs, os.fork, OpenBLAS and
+    an x86-64 CPU (_split_batch), a forked worker computes samples
+    [ceil(batch/2), batch) of every step while this process computes the
+    others, both with one BLAS thread; the result is bitwise the same. The
+    worker lives for this call only and is reaped on return and on any
+    exception; one that fails or dies raises TrainingWorkerError.
+    A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
+    gradient, naming the first such parameter, both before the optimizer
+    step; resume momentum that does not match the model's parameters by
+    name and shape raises VersionMismatch before the first step.
     Every step rebuilds buffers of the same shapes, so the first call sets
     the process's allocator to keep freed memory (tensor.keep_heap_resident):
     from then on the process's resident memory stays at its peak.
     """
+    return _train(model, data, cfg, resume, stop_epoch, log_path, _split_batch(cfg.batch))
+
+
+def _train(
+    model: GasaUNet,
+    data: PreparedData,
+    cfg: TrainConfig,
+    resume: Checkpoint | None,
+    stop_epoch: int | None,
+    log_path: str | Path | None,
+    split: bool,
+) -> tuple[Checkpoint, list[dict]]:
+    """train(), in two processes when `split`, else in this one."""
     cfg.validate()
     if not data.train:
         raise ValueError("training split is empty")
@@ -438,31 +712,58 @@ def train(
         start_epoch = 0
     end_epoch = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
 
+    split = split and start_epoch < end_epoch
+    draws = _sample_draws(model.cfg)
+    weight = Tensor(1.0 / cfg.batch)
+    first = (cfg.batch + 1) // 2 if split else cfg.batch
+    worker = _BatchWorker(named, first, cfg.batch) if split else None
+    if worker is None:
+        grads = np.empty(sum(p.size for _, p in named))
+        grad_views = _views(grads, named)
+    else:
+        grads, grad_views = worker.total, worker.total_views
     log: list[dict] = []
-    log_fh = open(log_path, "a") if log_path is not None else None
+    log_fh = None
+    blas_threads = None
     try:
+        if worker is not None:
+            get_threads, set_threads = _openblas_threads()
+            blas_threads = get_threads()
+            set_threads(1)
+            worker.start(model, data, cfg, momentum, rng, range(start_epoch, end_epoch), draws, weight)
+        log_fh = open(log_path, "a") if log_path is not None else None
+        step = 0
         for epoch in range(start_epoch, end_epoch):
             lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
             t0 = time.perf_counter()
             losses = []
             for it in range(cfg.iters_per_epoch):
-                total = None
-                for _ in range(cfg.batch):
-                    case = data.train[rng.randint(len(data.train))]
-                    img, onehot = _sample_patch(case, cfg.patch_size, rng, data.num_classes)
-                    loss = sample_loss(model, img, onehot, rng)
-                    total = loss if total is None else T.add(total, loss)
-                total = T.mul(total, Tensor(1.0 / cfg.batch))
-                loss_value = total.item()
+                step += 1
+                start = rng.counter
+                sample_losses, own = [], []
+                for i in range(first):
+                    sample_losses.append(
+                        _backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight)
+                    )
+                    own.append([p.grad for _, p in named])
+                if worker is None:
+                    _sum_grads(own, grad_views)
+                    for (_, p), g in zip(named, grad_views):
+                        p.grad = g
+                else:
+                    worker.doing = f"epoch {epoch}, iteration {it}"
+                    worker.gathered(step, own).backward()
+                    sample_losses += worker.losses[step % 2].tolist()
+                rng = Rng(rng.seed, start + cfg.batch * draws)
+                batch_loss = sample_losses[0]
+                for value in sample_losses[1:]:
+                    batch_loss += value
+                loss_value = batch_loss * (1.0 / cfg.batch)
                 if not math.isfinite(loss_value):
                     raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")
-                model.zero_grads()
-                total.backward()
-                for name, p in named:
-                    if p.grad is not None and not np.isfinite(p.grad).all():
-                        raise NonFiniteLoss(
-                            f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}"
-                        )
+                if not np.isfinite(grads).all():
+                    name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
+                    raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
                 sgd_nesterov_step(named, momentum, lr, cfg.momentum)
                 losses.append(loss_value)
             entry = {
@@ -475,16 +776,22 @@ def train(
             if log_fh is not None:
                 log_fh.write(json.dumps(entry) + "\n")
                 log_fh.flush()
+        extra = {
+            "stats": data.stats.to_dict(),
+            "spacing": list(data.spacing),
+            "patch_size": list(cfg.patch_size),
+            "num_classes": data.num_classes,
+        }
+        if resume is not None and resume.extra:
+            extra = {**resume.extra, **extra}
+        ckpt = checkpoint_from_model(model, momentum, end_epoch, rng, extra)
+        if worker is not None:
+            worker.close()
     finally:
+        if worker is not None:
+            worker.close(kill=True)
+        if blas_threads is not None:
+            set_threads(blas_threads)
         if log_fh is not None:
             log_fh.close()
-
-    extra = {
-        "stats": data.stats.to_dict(),
-        "spacing": list(data.spacing),
-        "patch_size": list(cfg.patch_size),
-        "num_classes": data.num_classes,
-    }
-    if resume is not None and resume.extra:
-        extra = {**resume.extra, **extra}
-    return checkpoint_from_model(model, momentum, end_epoch, rng, extra), log
+    return ckpt, log

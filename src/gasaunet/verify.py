@@ -5,7 +5,8 @@ with the implementation it validates: central finite differences against the
 autodiff engine, an all-pairs surface-distance scan against the metric, a
 dense accumulation loop against the tiled inference path, analytic
 functions against the resampler, and the float64 forward pass and its
-gradients against the float32 ones that inference and training run.
+gradients against the float32 ones that inference and training run, and
+a training step in one process against the same step split over two.
 """
 
 from __future__ import annotations
@@ -367,6 +368,45 @@ def check_training_precision(seed: int = 5) -> dict:
     }
 
 
+def check_training_processes(seed: int = 5) -> dict:
+    """One train() step of the default model at batch 2 on a random 20^3
+    case, computed in this process and again with the second sample in a
+    forked worker: the loss, parameters, momentum and RNG state must be
+    bitwise equal. `path` says which way train() itself runs here; where it
+    cannot fork a worker (training._split_batch), both steps run in this
+    process."""
+    from . import training
+    from .backbone import build_model, make_backbone_config
+    from .volume import NormStats
+
+    rng = Rng(seed)
+    image = rng.normal_array(20 ** 3).reshape(1, 20, 20, 20)
+    labels = (rng.uniform_array(20 ** 3) * 3).astype(np.int64).reshape(20, 20, 20)
+    case = training.PreparedCase(image, labels, labels.shape, labels, (1.0, 1.0, 1.0), labels.shape)
+    data = training.PreparedData([case], [], NormStats(0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0), 3)
+    cfg = training.TrainConfig(epochs=1, iters_per_epoch=1, batch=2, patch_size=(16, 16, 16), seed=seed)
+    two = training._split_batch(cfg.batch)
+    runs = []
+    for split in (False, two):
+        model = build_model(make_backbone_config(1, 3, (16, 16, 16)), Rng(seed))
+        runs.append(training._train(model, data, cfg, None, None, None, split))
+    (one_ckpt, one_log), (two_ckpt, two_log) = runs
+    differ = [
+        name for name in one_ckpt.params
+        if not np.array_equal(one_ckpt.params[name], two_ckpt.params[name])
+        or not np.array_equal(one_ckpt.momentum[name], two_ckpt.momentum[name])
+    ]
+    same_loss = one_log[0]["loss"] == two_log[0]["loss"]
+    return {
+        "name": "training_processes",
+        "passed": same_loss and not differ and one_ckpt.rng_state == two_ckpt.rng_state,
+        "path": "two processes" if two else "one process",
+        "loss": one_log[0]["loss"],
+        "same_loss": same_loss,
+        "tensors_differ": differ,
+    }
+
+
 def run_all(perturb_gradients: bool = False) -> list[dict]:
     return [
         check_gradients(perturb=perturb_gradients),
@@ -375,4 +415,5 @@ def run_all(perturb_gradients: bool = False) -> list[dict]:
         check_sliding_window(),
         check_inference_precision(),
         check_training_precision(),
+        check_training_processes(),
     ]

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from gasaunet.backbone import make_backbone_config, build_model
-from gasaunet.errors import InvalidEpoch, NonFiniteLoss, VersionMismatch
+from gasaunet import tensor as T
+from gasaunet import training
+from gasaunet.errors import InvalidEpoch, NonFiniteLoss, TrainingWorkerError, VersionMismatch
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
@@ -279,9 +282,6 @@ def test_non_finite_loss_stops_training():
 
 
 def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
-    from gasaunet import tensor as T
-    from gasaunet import training
-
     model = tiny_model()
     params = dict(model.named_params())
     before = {name: p.data.copy() for name, p in params.items()}
@@ -360,8 +360,6 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
 def test_training_backward_runs_in_float32_and_parameters_stay_float64(monkeypatch):
     """A float64 gradient leaking into the float32 graph keeps every numerical
     test green and loses the speed of the float32 pass; this test sees it."""
-    from gasaunet import tensor as T
-
     received = []  # (closure name, output dtype, gradient dtype) per backward call
     node = T._node
 
@@ -375,6 +373,8 @@ def test_training_backward_runs_in_float32_and_parameters_stay_float64(monkeypat
         return node(data, parents, bw)
 
     monkeypatch.setattr(T, "_node", recording_node)
+    # in one process, so that this process records both samples' closures
+    monkeypatch.setattr(training, "_split_batch", lambda batch: False)
     model = tiny_model()
     ckpt, _ = train(model, tiny_data(), TrainConfig(epochs=1, iters_per_epoch=1, batch=2, patch_size=(8, 8, 8)))
     convs = [r for r in received if r[0] == "conv3d"]
@@ -384,3 +384,201 @@ def test_training_backward_runs_in_float32_and_parameters_stay_float64(monkeypat
     assert {out for _, out, _ in received} == {np.dtype(np.float32), np.dtype(np.float64)}
     for name, p in model.named_params():
         assert p.data.dtype == p.grad.dtype == ckpt.momentum[name].dtype == np.float64, name
+
+
+# -- the samples of a step in two processes -------------------------------------
+
+two_processes = pytest.mark.skipif(not training._split_batch(2), reason="train() cannot fork a batch worker here")
+
+
+def joint_graph_train(model, data, cfg):
+    """The training loop before the batch was split: one graph holds every
+    sample of a step, and one backward pass sums their gradients."""
+    named = list(model.named_params())
+    momentum = {name: np.zeros_like(p.data) for name, p in named}
+    rng = Rng(cfg.seed)
+    log = []
+    for epoch in range(cfg.epochs):
+        lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
+        losses = []
+        for _ in range(cfg.iters_per_epoch):
+            total = None
+            for _ in range(cfg.batch):
+                case = data.train[rng.randint(len(data.train))]
+                img, onehot = training._sample_patch(case, cfg.patch_size, rng, data.num_classes)
+                loss = training.sample_loss(model, img, onehot, rng)
+                total = loss if total is None else T.add(total, loss)
+            total = T.mul(total, Tensor(1.0 / cfg.batch))
+            losses.append(total.item())
+            model.zero_grads()
+            total.backward()
+            sgd_nesterov_step(named, momentum, lr, cfg.momentum)
+        log.append(float(np.mean(losses)))
+    return checkpoint_from_model(model, momentum, cfg.epochs, rng), log
+
+
+def assert_same_run(a, b):
+    """Two (checkpoint, loss log) pairs are bitwise equal; a log lists
+    train()'s entries or bare losses."""
+    (ckpt_a, log_a), (ckpt_b, log_b) = a, b
+    losses = lambda log: [e["loss"] if isinstance(e, dict) else e for e in log]  # noqa: E731
+    assert losses(log_a) == losses(log_b)
+    assert ckpt_a.rng_state == ckpt_b.rng_state
+    assert ckpt_a.params.keys() == ckpt_b.params.keys() == ckpt_a.momentum.keys() == ckpt_b.momentum.keys()
+    for name in ckpt_a.params:
+        assert np.array_equal(ckpt_a.params[name], ckpt_b.params[name]), name
+        assert np.array_equal(ckpt_a.momentum[name], ckpt_b.momentum[name]), name
+
+
+def split_cfg(batch=2, epochs=2) -> TrainConfig:
+    return TrainConfig(epochs=epochs, iters_per_epoch=3, batch=batch, patch_size=(8, 8, 8), seed=5)
+
+
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=two_processes)])
+def test_batch_of_two_is_bitwise_the_joint_graph_loop(split):
+    data, cfg = tiny_data(), split_cfg()
+    want = joint_graph_train(tiny_model(), data, cfg)
+    got = training._train(tiny_model(), data, cfg, None, None, None, split)
+    assert_same_run(got, want)
+
+
+@two_processes
+@pytest.mark.parametrize("batch", [3, 4])
+def test_two_processes_are_bitwise_one_process(batch):
+    data, cfg = tiny_data(), split_cfg(batch)
+    one = training._train(tiny_model(), data, cfg, None, None, None, False)
+    two = training._train(tiny_model(), data, cfg, None, None, None, True)
+    assert_same_run(one, two)
+
+
+def test_one_usable_cpu_runs_in_one_process(monkeypatch):
+    data, cfg = tiny_data(), split_cfg()
+    want = train(tiny_model(), data, cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_same_run(train(tiny_model(), data, cfg), want)
+
+
+def test_a_sample_that_draws_another_count_raises(monkeypatch):
+    model = tiny_model()
+    draws = training._sample_draws(model.cfg)
+    assert draws == 4 + 12 * 2   # case, corners; dropout on 4 + 4 + 4 tokens x d_model 2
+    monkeypatch.setattr(training, "_sample_draws", lambda cfg: draws - 1)
+    with pytest.raises(RuntimeError, match=f"drew {draws} random numbers, expected {draws - 1}"):
+        train(model, tiny_data(), split_cfg())
+
+
+def in_worker(parent=os.getpid()) -> bool:
+    return os.getpid() != parent
+
+
+def forked_pids(monkeypatch) -> list[int]:
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+@two_processes
+def test_an_exception_in_a_worker_sample_names_epoch_iteration_and_sample(monkeypatch):
+    calls, real = [0], training.sample_loss
+
+    def failing(*args):
+        if in_worker():
+            calls[0] += 1
+            if calls[0] == 5:   # the worker's 5th sample: epoch 1, iteration 1
+                raise ValueError("bad patch")
+        return real(*args)
+
+    monkeypatch.setattr(training, "sample_loss", failing)
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(TrainingWorkerError, match=r"^sample 1 of epoch 1, iteration 1 raised .*ValueError: bad patch"):
+        train(tiny_model(), tiny_data(), split_cfg())
+    assert_reaped(pids)
+
+
+@two_processes
+def test_a_worker_that_dies_is_reported(monkeypatch):
+    real = training.sample_loss
+
+    def dying(*args):
+        if in_worker():
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(training, "sample_loss", dying)
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(TrainingWorkerError, match="died .* epoch 0, iteration 0"):
+        train(tiny_model(), tiny_data(), split_cfg())
+    assert_reaped(pids)
+
+
+@two_processes
+def test_a_non_finite_loss_in_a_worker_sample_stops_training(monkeypatch):
+    real = training.sample_loss
+
+    def nan_in_worker(*args):
+        loss = real(*args)
+        return T.mul(loss, Tensor(np.nan)) if in_worker() else loss
+
+    monkeypatch.setattr(training, "sample_loss", nan_in_worker)
+    model = tiny_model()
+    before = {name: p.data.copy() for name, p in model.named_params()}
+    with pytest.raises(NonFiniteLoss, match=r"^loss is nan at epoch 0, iteration 0$"):
+        train(model, tiny_data(), split_cfg())
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.named_params())
+
+
+@two_processes
+def test_a_non_finite_gradient_in_a_worker_sample_stops_training(monkeypatch):
+    model = tiny_model()
+    poisoned = dict(model.named_params())["dec0.post.gamma"]
+    real = training.sample_loss
+
+    def inf_grad_in_worker(*args):
+        loss = real(*args)
+        if not in_worker():
+            return loss
+
+        def bw(g):
+            loss.accumulate_grad(g)
+            poisoned.accumulate_grad(np.full(poisoned.shape, np.inf))
+
+        return T._node(loss.data, (loss, poisoned), bw)
+
+    monkeypatch.setattr(training, "sample_loss", inf_grad_in_worker)
+    with pytest.raises(NonFiniteLoss, match=r"parameter dec0\.post\.gamma is not finite at epoch 0, iteration 0"):
+        train(model, tiny_data(), split_cfg())
+
+
+@two_processes
+def test_keyboard_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
+    real, steps = training.sgd_nesterov_step, [0]
+
+    def interrupted(*args):
+        steps[0] += 1
+        if steps[0] == 2 and not in_worker():
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(training, "sgd_nesterov_step", interrupted)
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        train(tiny_model(), tiny_data(), split_cfg())
+    assert_reaped(pids)
