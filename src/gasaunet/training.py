@@ -439,20 +439,11 @@ def _sum_grads(samples: list[list[np.ndarray | None]], views: list[np.ndarray]) 
                 v += grads[j]
 
 
-def _fold(prefix: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """out <- ((prefix + rows[0]) + rows[1]) + ...: the batch gradient summed
-    in sample order. Both processes of a split batch run these same
-    operations, so they get the same bits."""
-    np.add(prefix, rows[0], out=out)
-    for row in rows[1:]:
-        out += row
-
-
 # ---------------------------------------------------------------------------
 # two-process batch
 # ---------------------------------------------------------------------------
 
-_PARENT, _WORKER, _ERROR_BYTES = 0, 1, 2   # slots of the shared flags
+_ERROR_BYTES = 2   # slot of the shared flags after the two processes' own
 _ERROR_ROOM = 1 << 16
 _SPINS_PER_CHECK = 1 << 14
 
@@ -495,60 +486,76 @@ def _split_batch(batch: int) -> bool:
 
 
 class _BatchWorker:
-    """A forked process that computes samples [first, batch) of every step of
-    one train() call, while the parent computes samples [0, first).
+    """A forked process that runs the steps of one train() call on samples
+    [half, batch) of each, while the parent runs them on samples [0, half).
 
     The two processes share one anonymous mapping made before the fork: a
     flag per process holding the last step it posted (the worker's is -1
     once it failed), two sets of step buffers, for odd and for even steps,
-    and room for the worker's error message. A set holds the sum of the
-    parent's sample gradients (`prefix`) and the worker's per-sample
-    gradients (`rows`) and losses. Each process writes its buffers before
-    its flag and spins on the other's flag; blocking waits stalled the
-    step. Before a process writes a set for step k it has seen the other
-    post step k-1, which the other does only after it has read step k-2,
-    the set's previous use. Both sum the batch gradient with `_fold` and
-    take the same optimizer step, so the parameters never cross.
+    and room for the worker's error message. A set holds one gradient row
+    and one loss per sample. Each process copies its own samples into
+    their rows and posts its flag, then spins until the other's flag
+    reaches the step (blocking waits stalled the step) and sums all rows in
+    sample order: both get the same bits and take the same optimizer step,
+    so the parameters never cross. Flags only grow, and the other process
+    is at most one step ahead: before it writes a set for step k it has
+    seen this one post step k-1, which this one does only after it has
+    read step k-2, the set's previous use.
     """
 
-    def __init__(self, named: list[tuple[str, Tensor]], first: int, batch: int):
-        n, rows = sum(p.size for _, p in named), batch - first
-        width = n + rows * n + rows
+    def __init__(self, named: list[tuple[str, Tensor]], batch: int):
+        n = sum(p.size for _, p in named)
+        width = batch * (n + 1)
         self._map = mmap.mmap(-1, 8 * (3 + 2 * width) + _ERROR_ROOM)
         self.flags = np.frombuffer(self._map, np.int64, 3)
         sets = np.frombuffer(self._map, np.float64, 2 * width, 8 * 3).reshape(2, width)
-        self.prefix = sets[:, :n]
-        self.rows = sets[:, n : n + rows * n].reshape(2, rows, n)
-        self.losses = sets[:, n + rows * n :]
+        self.rows = [[_views(row, named) for row in rows.reshape(batch, n)] for rows in sets[:, : batch * n]]
+        self.losses = sets[:, batch * n :]
         self.error = np.frombuffer(self._map, np.uint8, _ERROR_ROOM, 8 * (3 + 2 * width))
-        self.prefix_views = [_views(prefix, named) for prefix in self.prefix]
-        self.row_views = [[_views(row, named) for row in rows] for rows in self.rows]
-        self.named, self.first, self.batch = named, first, batch
-        self.total = np.empty(n)   # each process's own batch gradient
-        self.total_views = _views(self.total, named)
+        self.params = [p for _, p in named]
+        self.me = 0   # this process's flag: 0 in the parent, 1 in the worker
         self.parent = os.getpid()
         self.pid: int | None = None
         self.doing = ""
 
-    # -- both processes -----------------------------------------------------
+    def exchange(self, step: int, samples: range, grads: list[list[np.ndarray | None]], losses: list[float],
+                 out: list[np.ndarray], leaving: bool) -> Tensor:
+        """A node standing for the other process's samples of `step`. Its
+        backward copies this process's sample gradients and losses into
+        their rows and posts the step; unless `leaving`, it then waits for
+        the other process and sums every row into `out`. Waiting in a backward
+        pass keeps the wait inside the span that an outside tracer gives
+        backward()."""
+        k = step % 2
 
-    def wait(self, slot: int, step: int) -> None:
-        """Spin until the other process posts `step` in `slot`, checking
-        now and then that it is still there."""
-        flags, spins = self.flags, 0
-        while flags[slot] != step:
+        def bw(_g):
+            for i, g in zip(samples, grads):
+                _sum_grads([g], self.rows[k][i])
+            self.losses[k, samples.start : samples.stop] = losses
+            self.flags[self.me] = step
+            if not leaving:
+                self.wait(step)
+                _sum_grads(self.rows[k], out)
+
+        return T._node(np.zeros(()), self.params, bw)
+
+    def wait(self, step: int) -> None:
+        """Spin until the other process has posted `step`, checking now and
+        then that it is still there. Its flag may be one step further on."""
+        flags, other, spins = self.flags, 1 - self.me, 0
+        while flags[other] < step:
             spins += 1
-            if spins % _SPINS_PER_CHECK == 0 or flags[_WORKER] < 0:
+            if spins % _SPINS_PER_CHECK == 0 or flags[other] < 0:
                 self._check_other()
 
     def _check_other(self) -> None:
         """In the parent, raise if the worker failed or died; in the
         worker, leave if the parent is gone."""
-        if os.getpid() != self.parent:
+        if self.me:
             if os.getppid() != self.parent:
                 os._exit(1)
             return
-        if self.flags[_WORKER] < 0:
+        if self.flags[1] < 0:
             text = bytes(self.error[: self.flags[_ERROR_BYTES]]).decode(errors="replace")
             message, _, trace = text.partition("\n")
             err = TrainingWorkerError(message)
@@ -560,10 +567,8 @@ class _BatchWorker:
             self.pid = None
             raise TrainingWorkerError(f"the training worker died (wait status {status}) during {self.doing}")
 
-    # -- parent -------------------------------------------------------------
-
     def start(self, *steps) -> None:
-        """Fork the worker, which runs run_steps(*steps) and leaves with
+        """Fork the worker, which runs _step_loop(*steps) and leaves with
         os._exit. A forked child starts with the parent's model, data,
         momentum and RNG, so only gradients need to cross; it runs no other
         thread (OpenBLAS shuts its pool down across a fork, and BLAS runs
@@ -572,37 +577,19 @@ class _BatchWorker:
         if pid:
             self.pid = pid
             return
-        code = 1
+        code, self.me = 1, 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's KeyboardInterrupt reaps this process
-            self.run_steps(*steps)
+            _step_loop(*steps, self)
             code = 0
         except BaseException as exc:
             text = f"{self.doing} raised in the training worker: {type(exc).__name__}: {exc}\n"
             data = (text + traceback.format_exc()).encode()[:_ERROR_ROOM]
             self.error[: len(data)] = np.frombuffer(data, np.uint8)
             self.flags[_ERROR_BYTES] = len(data)
-            self.flags[_WORKER] = -1
+            self.flags[self.me] = -1
         finally:
             os._exit(code)
-
-    def gathered(self, step: int, own: list[list[np.ndarray | None]]) -> Tensor:
-        """A node standing for the worker's samples of `step`. Its backward
-        posts the sum of `own`, this process's sample gradients, waits for
-        the worker's, and sets each parameter's gradient to its part of the
-        batch gradient. Waiting in a backward pass keeps the wait inside the
-        span that an outside tracer gives backward()."""
-        k = step % 2
-
-        def bw(_g):
-            _sum_grads(own, self.prefix_views[k])
-            self.flags[_PARENT] = step
-            self.wait(_WORKER, step)
-            _fold(self.prefix[k], self.rows[k], self.total)
-            for (_, p), g in zip(self.named, self.total_views):
-                p.grad = g
-
-        return T._node(np.zeros(()), [p for _, p in self.named], bw)
 
     def close(self, kill: bool = False) -> None:
         """Reap the worker: after its last step it exits by itself; kill
@@ -614,34 +601,66 @@ class _BatchWorker:
         os.waitpid(self.pid, 0)
         self.pid = None
 
-    # -- worker -------------------------------------------------------------
 
-    def run_steps(self, model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray],
-                  rng: Rng, epochs: range, draws: int, weight: Tensor) -> None:
-        """The worker's side of train()'s loop: the same steps, samples
-        [first, batch) of each."""
-        step, last = 0, len(epochs) * cfg.iters_per_epoch
-        for epoch in epochs:
-            lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
-            for it in range(cfg.iters_per_epoch):
-                step += 1
-                k = step % 2
-                start = rng.counter
-                for j, i in enumerate(range(self.first, self.batch)):
-                    self.doing = f"sample {i} of epoch {epoch}, iteration {it}"
-                    rng_i = Rng(rng.seed, start + i * draws)
-                    self.losses[k, j] = _backprop_sample(model, data, cfg, rng_i, draws, weight)
-                    _sum_grads([[p.grad for _, p in self.named]], self.row_views[k][j])
-                self.flags[_WORKER] = step
-                if step == last:
-                    return   # nothing reads the worker's parameters after its last post
-                self.doing = f"the step of epoch {epoch}, iteration {it}"
-                self.wait(_PARENT, step)
-                _fold(self.prefix[k], self.rows[k], self.total)
-                for (_, p), g in zip(self.named, self.total_views):
-                    p.grad = g
-                rng = Rng(rng.seed, start + self.batch * draws)
-                sgd_nesterov_step(self.named, momentum, lr, cfg.momentum)
+def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray], rng: Rng,
+               epochs: range, log_fh, samples: range, pair: _BatchWorker | None) -> tuple[Rng, list[dict]]:
+    """Every step of `epochs`, this process computing samples `samples` of
+    each and `pair` the others, if any; returns the RNG after the last step
+    and the per-epoch log, which goes to log_fh too unless it is None. The
+    worker returns right after it posts its last step: nothing reads its
+    parameters then."""
+    named = list(model.named_params())
+    draws = _sample_draws(model.cfg)
+    weight = Tensor(1.0 / cfg.batch)
+    grads = np.empty(sum(p.size for _, p in named))
+    grad_views = _views(grads, named)
+    last = len(epochs) * cfg.iters_per_epoch
+    log: list[dict] = []
+    step = 0
+    for epoch in epochs:
+        lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
+        t0 = time.perf_counter()
+        losses = []
+        for it in range(cfg.iters_per_epoch):
+            step += 1
+            start = rng.counter
+            sample_losses, own = [], []
+            for i in samples:
+                if pair is not None:
+                    pair.doing = f"sample {i} of epoch {epoch}, iteration {it}"
+                sample_losses.append(
+                    _backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight)
+                )
+                own.append([p.grad for _, p in named])
+            if pair is None:
+                _sum_grads(own, grad_views)
+            else:
+                pair.doing = f"epoch {epoch}, iteration {it}"
+                leaving = pair.me == 1 and step == last
+                pair.exchange(step, samples, own, sample_losses, grad_views, leaving).backward()
+                if leaving:
+                    return rng, log
+                sample_losses = pair.losses[step % 2].tolist()
+            for (_, p), g in zip(named, grad_views):
+                p.grad = g
+            rng = Rng(rng.seed, start + cfg.batch * draws)
+            batch_loss = sample_losses[0]
+            for value in sample_losses[1:]:
+                batch_loss += value
+            loss_value = batch_loss * (1.0 / cfg.batch)
+            if not math.isfinite(loss_value):
+                raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")
+            if not np.isfinite(grads).all():
+                name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
+                raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
+            sgd_nesterov_step(named, momentum, lr, cfg.momentum)
+            losses.append(loss_value)
+        entry = {"epoch": epoch, "lr": lr, "loss": float(np.mean(losses)), "seconds": time.perf_counter() - t0}
+        log.append(entry)
+        if log_fh is not None:
+            log_fh.write(json.dumps(entry) + "\n")
+            log_fh.flush()
+    return rng, log
 
 
 def train(
@@ -662,10 +681,11 @@ def train(
     gradient is the sum of the samples' gradients in sample order, and
     sample i of a step draws its random numbers from the step's RNG counter
     + i * (draws per sample), as one sample after another would.
-    With a batch of 2 or more, 2 or more usable CPUs, os.fork, OpenBLAS and
-    an x86-64 CPU (_split_batch), a forked worker computes samples
-    [ceil(batch/2), batch) of every step while this process computes the
-    others, both with one BLAS thread; the result is bitwise the same. The
+    With a batch of 2 or more, 2 or more steps in the call, 2 or more
+    usable CPUs, os.fork, OpenBLAS and an x86-64 CPU (_split_batch), a
+    forked worker runs the same steps on samples [ceil(batch/2), batch) of
+    each while this process runs them on the others, both with one BLAS
+    thread; the result is bitwise the same. The
     worker lives for this call only and is reaped on return and on any
     exception; one that fails or dies raises TrainingWorkerError.
     A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
@@ -688,7 +708,8 @@ def _train(
     log_path: str | Path | None,
     split: bool,
 ) -> tuple[Checkpoint, list[dict]]:
-    """train(), in two processes when `split`, else in this one."""
+    """train(), in two processes when `split` and the call has 2 or more
+    steps, else in this one."""
     cfg.validate()
     if not data.train:
         raise ValueError("training split is empty")
@@ -712,70 +733,19 @@ def _train(
         start_epoch = 0
     end_epoch = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
 
-    split = split and start_epoch < end_epoch
-    draws = _sample_draws(model.cfg)
-    weight = Tensor(1.0 / cfg.batch)
-    first = (cfg.batch + 1) // 2 if split else cfg.batch
-    worker = _BatchWorker(named, first, cfg.batch) if split else None
-    if worker is None:
-        grads = np.empty(sum(p.size for _, p in named))
-        grad_views = _views(grads, named)
-    else:
-        grads, grad_views = worker.total, worker.total_views
-    log: list[dict] = []
-    log_fh = None
-    blas_threads = None
+    epochs = range(start_epoch, end_epoch)
+    split = split and len(epochs) * cfg.iters_per_epoch >= 2
+    half = (cfg.batch + 1) // 2 if split else cfg.batch
+    pair = _BatchWorker(named, cfg.batch) if split else None
+    log_fh = blas_threads = None
     try:
-        if worker is not None:
+        if pair is not None:
             get_threads, set_threads = _openblas_threads()
             blas_threads = get_threads()
             set_threads(1)
-            worker.start(model, data, cfg, momentum, rng, range(start_epoch, end_epoch), draws, weight)
+            pair.start(model, data, cfg, momentum, rng, epochs, None, range(half, cfg.batch))
         log_fh = open(log_path, "a") if log_path is not None else None
-        step = 0
-        for epoch in range(start_epoch, end_epoch):
-            lr = poly_lr(epoch, cfg.epochs, cfg.lr0, cfg.poly_exponent)
-            t0 = time.perf_counter()
-            losses = []
-            for it in range(cfg.iters_per_epoch):
-                step += 1
-                start = rng.counter
-                sample_losses, own = [], []
-                for i in range(first):
-                    sample_losses.append(
-                        _backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight)
-                    )
-                    own.append([p.grad for _, p in named])
-                if worker is None:
-                    _sum_grads(own, grad_views)
-                    for (_, p), g in zip(named, grad_views):
-                        p.grad = g
-                else:
-                    worker.doing = f"epoch {epoch}, iteration {it}"
-                    worker.gathered(step, own).backward()
-                    sample_losses += worker.losses[step % 2].tolist()
-                rng = Rng(rng.seed, start + cfg.batch * draws)
-                batch_loss = sample_losses[0]
-                for value in sample_losses[1:]:
-                    batch_loss += value
-                loss_value = batch_loss * (1.0 / cfg.batch)
-                if not math.isfinite(loss_value):
-                    raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")
-                if not np.isfinite(grads).all():
-                    name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
-                    raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
-                sgd_nesterov_step(named, momentum, lr, cfg.momentum)
-                losses.append(loss_value)
-            entry = {
-                "epoch": epoch,
-                "lr": lr,
-                "loss": float(np.mean(losses)),
-                "seconds": time.perf_counter() - t0,
-            }
-            log.append(entry)
-            if log_fh is not None:
-                log_fh.write(json.dumps(entry) + "\n")
-                log_fh.flush()
+        rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
         extra = {
             "stats": data.stats.to_dict(),
             "spacing": list(data.spacing),
@@ -785,11 +755,11 @@ def _train(
         if resume is not None and resume.extra:
             extra = {**resume.extra, **extra}
         ckpt = checkpoint_from_model(model, momentum, end_epoch, rng, extra)
-        if worker is not None:
-            worker.close()
+        if pair is not None:
+            pair.close()
     finally:
-        if worker is not None:
-            worker.close(kill=True)
+        if pair is not None:
+            pair.close(kill=True)
         if blas_threads is not None:
             set_threads(blas_threads)
         if log_fh is not None:

@@ -369,12 +369,12 @@ def check_training_precision(seed: int = 5) -> dict:
 
 
 def check_training_processes(seed: int = 5) -> dict:
-    """One train() step of the default model at batch 2 on a random 20^3
-    case, computed in this process and again with the second sample in a
-    forked worker: the loss, parameters, momentum and RNG state must be
-    bitwise equal. `path` says which way train() itself runs here; where it
-    cannot fork a worker (training._split_batch), both steps run in this
-    process."""
+    """Two train() steps of the default model at batch 2 on a random 20^3
+    case, computed in this process and again with the second sample of each
+    in a forked worker (a one-step call does not fork): the loss,
+    parameters, momentum and RNG state must be bitwise equal. `path` says
+    which way train() itself runs here; where it cannot fork a worker
+    (training._split_batch), both runs stay in this process."""
     from . import training
     from .backbone import build_model, make_backbone_config
     from .volume import NormStats
@@ -384,7 +384,7 @@ def check_training_processes(seed: int = 5) -> dict:
     labels = (rng.uniform_array(20 ** 3) * 3).astype(np.int64).reshape(20, 20, 20)
     case = training.PreparedCase(image, labels, labels.shape, labels, (1.0, 1.0, 1.0), labels.shape)
     data = training.PreparedData([case], [], NormStats(0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0), 3)
-    cfg = training.TrainConfig(epochs=1, iters_per_epoch=1, batch=2, patch_size=(16, 16, 16), seed=seed)
+    cfg = training.TrainConfig(epochs=1, iters_per_epoch=2, batch=2, patch_size=(16, 16, 16), seed=seed)
     two = training._split_batch(cfg.batch)
     runs = []
     for split in (False, two):

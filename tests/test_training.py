@@ -1,7 +1,9 @@
 import json
 import os
 import re
+import signal
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -582,3 +584,48 @@ def test_keyboard_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         train(tiny_model(), tiny_data(), split_cfg())
     assert_reaped(pids)
+
+
+@two_processes
+def test_a_parent_late_to_its_wait_still_finishes(monkeypatch):
+    """The worker may post step k+1 before the parent first reads its flag
+    for step k; a wait for the flag to equal k then spins forever."""
+    real, calls = training._BatchWorker.wait, [0]
+
+    def late(self, *args):
+        if not in_worker():
+            calls[0] += 1
+            if calls[0] == 2:
+                time.sleep(0.06)   # the worker sees step 2 posted and posts step 3 meanwhile
+        return real(self, *args)
+
+    def expire(signum, frame):
+        raise TimeoutError("train() did not finish within 20 s")
+
+    data, cfg = tiny_data(), split_cfg()
+    one = training._train(tiny_model(), data, cfg, None, None, None, False)
+    monkeypatch.setattr(training._BatchWorker, "wait", late)
+    pids = forked_pids(monkeypatch)
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        two = training._train(tiny_model(), data, cfg, None, None, None, True)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert calls[0] >= 2
+    assert_same_run(one, two)
+    assert_reaped(pids)
+
+
+def test_a_one_step_call_runs_in_one_process(monkeypatch):
+    """Forking and reaping a worker costs more than it saves on one step."""
+    data = tiny_data()
+    cfg = TrainConfig(epochs=2, iters_per_epoch=1, batch=2, patch_size=(8, 8, 8), seed=5)
+    want = training._train(tiny_model(), data, cfg, None, 1, None, False)
+
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_same_run(train(tiny_model(), data, cfg, stop_epoch=1), want)
