@@ -19,7 +19,7 @@ import numpy as np
 from . import gasa
 from . import tensor as T
 from .errors import InvalidConfig, ShapeMismatch
-from .gasa import GasaConfig, count_gasa_params
+from .gasa import GasaConfig
 from .tensor import Rng, Tensor
 
 LEAKY_SLOPE = 0.01
@@ -227,37 +227,13 @@ def build_model(cfg: BackboneConfig, rng: Rng) -> GasaUNet:
 
 
 # ---------------------------------------------------------------------------
-# closed-form parameter / FLOP accounting
+# parameter / FLOP accounting, read off a built model
 # ---------------------------------------------------------------------------
 
 
-def conv_param_count(cin: int, cout: int, kernel: int) -> int:
-    return cout * cin * kernel ** 3
-
-
 def count_model_params(cfg: BackboneConfig) -> int:
-    """Closed-form learnable-scalar count; must agree with a registry walk."""
-    cfg.validate()
-    ch = cfg.stage_channels
-    n_stages = len(ch)
-    total = 0
-    cin = cfg.in_channels
-    for i, c in enumerate(ch):
-        total += conv_param_count(cin, c, 3) + 2 * c
-        total += conv_param_count(c, c, 3) + 2 * c
-        if cfg.variant == VARIANT_LARGE:
-            n_res = cfg.large_res_blocks[1] if i == n_stages - 1 else cfg.large_res_blocks[0]
-            total += n_res * (2 * (conv_param_count(c, c, 3) + 2 * c))
-        cin = c
-    if cfg.gasa is not None:
-        total += count_gasa_params(cfg.gasa)
-    prev = ch[-1] + (3 * cfg.gasa.d_model if cfg.gasa is not None else 0)
-    for lvl in range(n_stages - 2, -1, -1):
-        total += conv_param_count(prev, ch[lvl], 1) + 2 * ch[lvl]
-        total += conv_param_count(2 * ch[lvl], ch[lvl], 3) + 2 * ch[lvl]
-        prev = ch[lvl]
-    total += conv_param_count(ch[0], cfg.num_classes, 1) + cfg.num_classes  # head and its bias
-    return total
+    """Learnable scalars the model registers."""
+    return sum(p.size for _, p in build_model(cfg, Rng(0)).named_params())
 
 
 def conv_flops(cin: int, cout: int, kernel: int, out_voxels: int) -> int:
@@ -265,50 +241,27 @@ def conv_flops(cin: int, cout: int, kernel: int, out_voxels: int) -> int:
     return out_voxels * cout * (2 * cin * kernel ** 3)
 
 
-def matmul_flops(m: int, k: int, n: int) -> int:
-    return 2 * m * k * n
+def _kernel_flops(w: Tensor, out_voxels: int) -> int:
+    cout, cin, k = w.shape[:3]
+    return conv_flops(cin, cout, k, out_voxels)
 
 
-def gasa_flops(g: GasaConfig) -> int:
-    w, h, d = g.spatial
-    dm = g.d_model
-    t = g.tokens
-    c = g.in_channels
-    total = 0
-    for extent, plane in ((w, h * d), (h, w * d), (d, w * h)):
-        total += extent * dm * (2 * c * plane) + extent * dm
-    total += 3 * (matmul_flops(t, dm, dm) + t * dm)   # q, k, v projections
-    total += matmul_flops(t, dm, t)                   # scores (all heads)
-    total += matmul_flops(t, t, dm)                   # attention * values
-    total += matmul_flops(t, dm, dm) + t * dm         # output mix
-    return total
+def _block_flops(block, out_voxels: int) -> int:
+    """FLOPs of a block's conv kernels (its 5-D parameters) at its output grid."""
+    return sum(_kernel_flops(w, out_voxels) for _, w in T.named_tensors(block, "") if w.data.ndim == 5)
 
 
 def count_model_flops(cfg: BackboneConfig, input_shape: tuple[int, int, int]) -> int:
     """Forward FLOPs of convolutions and matmuls only (norms/activations free)."""
-    cfg.validate()
-    ch = cfg.stage_channels
-    n_stages = len(ch)
-    spatial = list(input_shape)
-    total = 0
-    cin = cfg.in_channels
-    sizes = []
-    for i, c in enumerate(ch):
-        spatial = [v // s for v, s in zip(spatial, cfg.downsample_strides[i])]
-        vox = spatial[0] * spatial[1] * spatial[2]
-        sizes.append((tuple(spatial), vox))
-        total += conv_flops(cin, c, 3, vox)
-        total += conv_flops(c, c, 3, vox)
-        if cfg.variant == VARIANT_LARGE:
-            n_res = cfg.large_res_blocks[1] if i == n_stages - 1 else cfg.large_res_blocks[0]
-            total += n_res * 2 * conv_flops(c, c, 3, vox)
-        cin = c
+    model = build_model(cfg, Rng(0))
+    grid = list(input_shape)
+    voxels = []
+    for stride in cfg.downsample_strides:
+        grid = [v // s for v, s in zip(grid, stride)]
+        voxels.append(grid[0] * grid[1] * grid[2])
+    total = sum(_block_flops(blk, vox) for blocks, vox in zip(model.encoder, voxels) for blk in blocks)
     if cfg.gasa is not None:
-        total += gasa_flops(cfg.gasa)
-    prev = ch[-1] + (3 * cfg.gasa.d_model if cfg.gasa is not None else 0)
-    for lvl in range(n_stages - 2, -1, -1):
-        total += conv_flops(prev, ch[lvl], 1, sizes[lvl + 1][1])  # reduce runs before upsampling
-        total += conv_flops(2 * ch[lvl], ch[lvl], 3, sizes[lvl][1])
-        prev = ch[lvl]
-    total += conv_flops(ch[0], cfg.num_classes, 1, sizes[0][1]) + cfg.num_classes * sizes[0][1]  # head, bias adds
-    return total
+        total += gasa.gasa_flops(cfg.gasa)
+    for reduce, post, lvl in zip(model.reduce, model.post, range(len(voxels) - 2, -1, -1)):
+        total += _block_flops(reduce, voxels[lvl + 1]) + _block_flops(post, voxels[lvl])  # reduce before upsampling
+    return total + _kernel_flops(model.head_w, voxels[0]) + model.head_b.size * voxels[0]  # head, bias adds

@@ -148,6 +148,23 @@ def _model_config_from(cfg: dict, patch: tuple[int, int, int], num_classes: int)
     )
 
 
+def _train_config_from(cfg: dict, schedule: dict) -> TrainConfig:
+    """The train settings, with epochs and iterations from `schedule` (section train or ablate)."""
+    t = cfg["train"]
+    tcfg = TrainConfig(
+        lr0=t["lr0"],
+        momentum=t["momentum"],
+        epochs=schedule["epochs"],
+        iters_per_epoch=schedule["iters_per_epoch"],
+        batch=t["batch"],
+        patch_size=(t["patch"],) * 3,
+        seed=cfg["seed"],
+        poly_exponent=t["poly_exponent"],
+    )
+    tcfg.validate()
+    return tcfg
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -177,18 +194,8 @@ def cmd_train(args) -> int:
     if _maybe_print_config(args, cfg):
         return 0
     out = _out_dir(args)
-    patch = (cfg["train"]["patch"],) * 3
-    tcfg = TrainConfig(
-        lr0=cfg["train"]["lr0"],
-        momentum=cfg["train"]["momentum"],
-        epochs=cfg["train"]["epochs"],
-        iters_per_epoch=cfg["train"]["iters_per_epoch"],
-        batch=cfg["train"]["batch"],
-        patch_size=patch,
-        seed=cfg["seed"],
-        poly_exponent=cfg["train"]["poly_exponent"],
-    )
-    tcfg.validate()
+    tcfg = _train_config_from(cfg, cfg["train"])
+    patch = tcfg.patch_size
     data = prepared_from_manifest_path(args.data, patch)
     model_cfg = _model_config_from(cfg, patch, data.num_classes)
     model = build_model(model_cfg, Rng(cfg["seed"]))
@@ -272,7 +279,8 @@ def cmd_ablate(args) -> int:
     if _maybe_print_config(args, cfg):
         return 0
     out = _out_dir(args)
-    patch = (cfg["train"]["patch"],) * 3
+    tcfg = _train_config_from(cfg, cfg["ablate"])
+    patch = tcfg.patch_size
     data = prepared_from_manifest_path(args.data, patch)
 
     cells = []
@@ -294,13 +302,6 @@ def cmd_ablate(args) -> int:
         run_cfg["model"]["pe"] = pe
         model_cfg = _model_config_from(run_cfg, patch, data.num_classes)
         model = build_model(model_cfg, Rng(cfg["seed"]))
-        tcfg = TrainConfig(
-            epochs=cfg["ablate"]["epochs"],
-            iters_per_epoch=cfg["ablate"]["iters_per_epoch"],
-            batch=cfg["train"]["batch"],
-            patch_size=patch,
-            seed=cfg["seed"],
-        )
         train(model, data, tcfg)
         swc = SlidingWindowConfig(patch_size=patch)
         res = evaluate_split(model.predict_logits, data, swc, cfg["eval"]["tau"])

@@ -246,16 +246,24 @@ def dropout_draws(cfg: GasaConfig) -> int:
 
 
 def count_gasa_params(cfg: GasaConfig) -> int:
-    """Exact learnable-scalar count of one block."""
-    cfg.validate()
-    c = cfg.in_channels
+    """Learnable scalars of one block."""
+    return sum(p.size for _, p in init_gasa_params(cfg, Rng(0)).named())
+
+
+def matmul_flops(m: int, k: int, n: int) -> int:
+    return 2 * m * k * n
+
+
+def gasa_flops(cfg: GasaConfig) -> int:
+    """Forward FLOPs of the block's projections and matmuls, bias adds included."""
     w, h, d = cfg.spatial
     dm = cfg.d_model
-    planes = (h * d, w * d, w * h)
-    n = sum(c * plane * dm + dm for plane in planes)    # axial projections + biases
-    n += 4 * dm * dm + 3 * dm                           # q, k, v, o projections; biases on q, v, o
-    if cfg.use_layer_norm:
-        n += dm + 3 * dm + 2 * dm                       # k bias; q, k, v scales; q, v shifts
-    n += (w + h + d) * dm if cfg.pe_mode != PE_NONE else 0  # positional table
-    return n
-
+    t = cfg.tokens
+    total = sum(matmul_flops(extent, cfg.in_channels * plane, dm) + extent * dm  # axial projections
+                for extent, plane in ((w, h * d), (h, w * d), (d, w * h)))
+    n_biases = 3 if cfg.use_layer_norm else 2  # q and v; k only in front of a layer norm
+    total += 3 * matmul_flops(t, dm, dm) + n_biases * t * dm  # q, k, v projections
+    total += matmul_flops(t, dm, t)                           # scores (all heads)
+    total += matmul_flops(t, t, dm)                           # attention * values
+    total += matmul_flops(t, dm, dm) + t * dm                 # output mix
+    return total

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tensor import keep_heap_resident
+from .tensor import keep_heap_resident, softmax_array
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
@@ -55,11 +55,6 @@ def _tile_starts(extent: int, patch: int, overlap: float) -> list[int]:
     return starts
 
 
-def _softmax_channel(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
-
-
 def sliding_window_predict(
     model: ModelFn,
     volume: np.ndarray,
@@ -91,7 +86,7 @@ def sliding_window_predict(
         logits = model(volume[sl])
         if logits.ndim != 4 or logits.shape[1:] != patch:
             raise ShapeMismatch(f"model returned {logits.shape} for patch {patch}")
-        probs = _softmax_channel(logits)
+        probs = softmax_array(logits, axis=0)
         if acc is None:
             acc = np.zeros((logits.shape[0],) + spatial)
         acc[sl] += probs * weight

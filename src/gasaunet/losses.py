@@ -41,8 +41,7 @@ def soft_dice_ce_parts(logits: Tensor, onehot: Tensor) -> tuple[Tensor, Tensor, 
     n = logits.size // k
     z = T._data(logits).reshape(k, n)
     labels = T._data(onehot).reshape(k, n)
-    e = np.exp(z - z.max(axis=0, keepdims=True))
-    y = e / e.sum(axis=0, keepdims=True)                                # [K, N]
+    y = T.softmax_array(z, axis=0)                                      # [K, N]
 
     inter = (labels * y).sum(axis=1)                                    # [K]
     den = (labels * labels).sum(axis=1) + (y * y).sum(axis=1)

@@ -531,13 +531,17 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
     return _node(out_data, operands, bw)
 
 
+def softmax_array(x: Array, axis: int) -> Array:
+    """Softmax of a NumPy array over one axis, max-subtracted for stability."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax over one axis, max-subtracted for stability."""
     if a.data.ndim == 0 or a.shape[axis] < 1:
         raise ShapeMismatch(f"softmax needs a nonempty axis {axis}, got shape {a.shape}")
-    ad = _data(a)
-    e = np.exp(ad - ad.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_array(_data(a), axis)
 
     def bw(g):
         if a.requires_grad:

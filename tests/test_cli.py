@@ -306,6 +306,29 @@ def test_ablate_runs_and_resumes(dataset, tmp_path, capsys):
     assert capsys.readouterr().out.count("cached") == 4
 
 
+def test_ablate_trains_with_the_configured_optimizer(dataset, tmp_path, monkeypatch):
+    from gasaunet import cli
+
+    seen = []
+    real_train = cli.train
+
+    def recording_train(model, data, tcfg, **kw):
+        seen.append(tcfg)
+        return real_train(model, data, tcfg, **kw)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    cfg_path = tmp_path / "ablate.json"
+    cfg_path.write_text(json.dumps({
+        "ablate": {"grid": [[1, 2]], "pe_modes": ["none"], "epochs": 1, "iters_per_epoch": 1},
+        "train": {"patch": 8, "lr0": 0.5, "momentum": 0.5, "poly_exponent": 2.0},
+    }))
+    assert run(["ablate", "--data", str(dataset), "--out", str(tmp_path / "ablate"),
+                "--config", str(cfg_path)]) == 0
+    [tcfg] = seen
+    assert (tcfg.lr0, tcfg.momentum, tcfg.poly_exponent) == (0.5, 0.5, 2.0)
+    assert (tcfg.epochs, tcfg.iters_per_epoch, tcfg.patch_size) == (1, 1, (8, 8, 8))
+
+
 def test_verify_exit_codes(capsys):
     assert run(["verify"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])

@@ -9,6 +9,7 @@ from gasaunet.gasa import (
     axial_expand,
     axial_project,
     count_gasa_params,
+    gasa_flops,
     gasa_forward,
     init_gasa_params,
     mhsa,
@@ -252,13 +253,19 @@ def test_count_gasa_params_hand_enumeration():
     assert count_gasa_params(cfg) == 88
 
 
-def test_count_gasa_params_matches_registry():
-    for ln in (False, True):
-        for pe_mode in ("none", "before", "after"):
-            cfg = small_cfg(use_layer_norm=ln, pe_mode=pe_mode)
-            params = init_gasa_params(cfg, Rng(27))
-            walked = sum(p.size for _, p in params.named())
-            assert walked == count_gasa_params(cfg), (ln, pe_mode)
+@pytest.mark.parametrize("ln, projection_biases", [(False, 2), (True, 3)])
+def test_gasa_flops_hand_enumeration(ln, projection_biases):
+    cfg = GasaConfig(in_channels=2, spatial=(2, 2, 2), d_model=2, heads=1, use_layer_norm=ln)
+    tokens = 6
+    expected = (
+        3 * (2 * 2 * (2 * 4) * 2 + 2 * 2)             # per axis: 2 slices x (2 ch x 4 voxels) x 2 features, bias
+        + 3 * 2 * tokens * 2 * 2                      # q, k, v weights
+        + projection_biases * tokens * 2              # bq, bv, and bk only with layer norm
+        + 2 * tokens * 2 * tokens                     # scores
+        + 2 * tokens * tokens * 2                     # attention * values
+        + 2 * tokens * 2 * 2 + tokens * 2             # output mix and its bias
+    )
+    assert gasa_flops(cfg) == expected
 
 
 def test_count_gasa_params_superlinear_in_d_model():
