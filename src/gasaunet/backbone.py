@@ -12,6 +12,7 @@ channel's mean, which would cancel a bias in front of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,9 @@ class ConvBlock:
 class ResBlock:
     """Two 3x3x3 conv+norm layers (no conv bias) with an additive skip."""
 
+    stride = (1, 1, 1)
+    padding = (1, 1, 1)
+
     def __init__(self, channels: int, rng: Rng):
         c = channels
         self.w1 = T.init_uniform((c, c, 3, 3, 3), fan_in=c * 27, rng=rng)
@@ -124,9 +128,9 @@ class ResBlock:
         self.be2 = T.zeros([c], requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.conv3d(x, self.w1, padding=(1, 1, 1))
+        h = T.conv3d(x, self.w1, padding=self.padding)
         h = T.instance_norm(h, self.g1, self.be1, LEAKY_SLOPE)
-        h = T.conv3d(h, self.w2, padding=(1, 1, 1))
+        h = T.conv3d(h, self.w2, padding=self.padding)
         h = T.instance_norm(h, self.g2, self.be2)
         return T.leaky_relu(T.add(h, x), LEAKY_SLOPE)
 
@@ -241,27 +245,39 @@ def conv_flops(cin: int, cout: int, kernel: int, out_voxels: int) -> int:
     return out_voxels * cout * (2 * cin * kernel ** 3)
 
 
-def _kernel_flops(w: Tensor, out_voxels: int) -> int:
-    cout, cin, k = w.shape[:3]
-    return conv_flops(cin, cout, k, out_voxels)
+def conv_layers(model: GasaUNet, input_shape: tuple[int, int, int]) -> list[tuple]:
+    """(name, kernel, stride, padding, input grid, output grid) of each conv
+    that `model.forward` runs on an input of spatial shape `input_shape`, in
+    forward order: the reduce convs at the coarse grid, as forward runs
+    them. An input that forward rejects raises ShapeMismatch as it does."""
+    model.cfg.bottleneck_spatial(tuple(input_shape))
+    layers, grids, grid = [], [], tuple(input_shape)
 
+    def add(name, w, stride, padding, grid_in):
+        grid_out = T._conv3d_geometry((w.shape[1],) + grid_in, w.shape, stride, padding)[0][1:]
+        layers.append((name, w, tuple(stride), tuple(padding), grid_in, grid_out))
+        return grid_out
 
-def _block_flops(block, out_voxels: int) -> int:
-    """FLOPs of a block's conv kernels (its 5-D parameters) at its output grid."""
-    return sum(_kernel_flops(w, out_voxels) for _, w in T.named_tensors(block, "") if w.data.ndim == 5)
+    for i, blocks in enumerate(model.encoder):
+        for j, blk in enumerate(blocks):
+            for name, w in T.named_tensors(blk, f"enc{i}.{j}"):
+                if w.data.ndim == 5:
+                    grid = add(name, w, blk.stride, blk.padding, grid)
+        grids.append(grid)
+    for idx, lvl in enumerate(range(len(grids) - 2, -1, -1)):
+        add(f"dec{idx}.reduce.w", model.reduce[idx].w, (1, 1, 1), model.reduce[idx].padding, grids[lvl + 1])
+        add(f"dec{idx}.post.w", model.post[idx].w, (1, 1, 1), model.post[idx].padding, grids[lvl])
+    add("head.w", model.head_w, (1, 1, 1), (0, 0, 0), grids[0])
+    return layers
 
 
 def count_model_flops(cfg: BackboneConfig, input_shape: tuple[int, int, int]) -> int:
-    """Forward FLOPs of convolutions and matmuls only (norms/activations free)."""
+    """Forward FLOPs of convolutions and matmuls only (norms/activations free).
+    An input that `GasaUNet.forward` rejects raises ShapeMismatch, as in
+    forward, instead of being priced."""
     model = build_model(cfg, Rng(0))
-    grid = list(input_shape)
-    voxels = []
-    for stride in cfg.downsample_strides:
-        grid = [v // s for v, s in zip(grid, stride)]
-        voxels.append(grid[0] * grid[1] * grid[2])
-    total = sum(_block_flops(blk, vox) for blocks, vox in zip(model.encoder, voxels) for blk in blocks)
+    layers = conv_layers(model, input_shape)
+    total = sum(conv_flops(w.shape[1], w.shape[0], w.shape[2], math.prod(grid_out)) for _, w, *_, grid_out in layers)
     if cfg.gasa is not None:
         total += gasa.gasa_flops(cfg.gasa)
-    for reduce, post, lvl in zip(model.reduce, model.post, range(len(voxels) - 2, -1, -1)):
-        total += _block_flops(reduce, voxels[lvl + 1]) + _block_flops(post, voxels[lvl])  # reduce before upsampling
-    return total + _kernel_flops(model.head_w, voxels[0]) + model.head_b.size * voxels[0]  # head, bias adds
+    return total + model.head_b.size * math.prod(layers[-1][-1])  # the head (last) and its bias adds

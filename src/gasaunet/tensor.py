@@ -25,6 +25,7 @@ import contextlib
 import ctypes
 import functools
 import math
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -279,6 +280,64 @@ def keep_heap_resident() -> bool:
              mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1]
         )
     return _heap_kept
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_libs() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries that NumPy's wheel bundles in numpy.libs,
+    opened by ctypes (the same handles NumPy itself loaded); empty where
+    there are none, as in builds against a system BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    opened = []
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            opened.append(ctypes.CDLL(str(path)))
+        except OSError:
+            continue
+    return tuple(opened)
+
+
+def openblas_functions(*candidates: Sequence[str]) -> list | None:
+    """The functions of the first candidate (a tuple of symbol names) that
+    one bundled OpenBLAS library exports in full, trying each library in
+    turn against every candidate; None where no library exports any."""
+    for lib in _openblas_libs():
+        for names in candidates:
+            found = [getattr(lib, name, None) for name in names]
+            if all(fn is not None for fn in found):
+                return found
+    return None
+
+
+# cblas.h enums
+_CBLAS_ROW_MAJOR = 101
+_CBLAS_NO_TRANS = 111
+_CBLAS_TRANS = 112
+# Largest inner (summed) dimension given to the in-place GEMM. OpenBLAS
+# splits a longer one into panels and adds each panel's partial product to
+# C in turn, which rounds differently from summing into a zeroed temporary
+# first. On an AVX-512 x86-64 CPU float64 sums of 300 still matched and of
+# 400 did not; 128 leaves room for CPU targets with shorter panels. The
+# default model's longest is 107, in the first decoder reduce.
+_GEMM_MAX_INNER = 128
+
+
+@functools.lru_cache(maxsize=None)
+def _gemm(dtype: np.dtype):
+    """cblas_sgemm (float32) or cblas_dgemm (float64) of the bundled ILP64
+    OpenBLAS, the one NumPy's matmul calls, with 64-bit dimensions; None for
+    other dtypes or where the symbol is absent."""
+    names = {np.dtype(np.float32): "scipy_cblas_sgemm64_", np.dtype(np.float64): "scipy_cblas_dgemm64_"}
+    found = openblas_functions((names[dtype],)) if dtype in names else None
+    if found is None:
+        return None
+    fn = found[0]
+    scalar = ctypes.c_float if dtype == np.float32 else ctypes.c_double
+    enum, dim, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    # order, trans A, trans B, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc
+    fn.argtypes = (enum, enum, enum, dim, dim, dim, scalar, ptr, dim, ptr, dim, scalar, ptr, dim)
+    fn.restype = None
+    return fn
 
 
 def _data(t: Tensor) -> Array:
@@ -676,7 +735,59 @@ def _conv3d_geometry(x_shape, w_shape, stride, padding):
 _CONV_BLOCK = 4096
 
 
-def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
+def _gemm_safe(wk: Array, src: Array, dst: Array, m: int, inner: int, shifts, blocks) -> bool:
+    """Whether `_accumulate` may hand these arrays to the in-place GEMM by
+    raw pointer; the conditions are listed there."""
+    lo, hi = min(a for a, _ in blocks), max(b for _, b in blocks)
+    return (
+        src.dtype == wk.dtype and dst.dtype == wk.dtype
+        and all(a.flags.c_contiguous and a.flags.aligned for a in (wk, src, dst)) and dst.flags.writeable
+        and src.ndim == dst.ndim == 2 and src.shape[0] == inner and dst.shape[0] == m and len(shifts) == len(wk)
+        and lo >= 0 and min(s for s, _ in shifts) >= 0 and min(d for _, d in shifts) >= 0
+        and max(s for s, _ in shifts) + hi <= src.shape[1] and max(d for _, d in shifts) + hi <= dst.shape[1]
+        and min(m, inner, *(b - a for a, b in blocks)) >= 2 and inner <= _GEMM_MAX_INNER
+    )
+
+
+def _accumulate(wk: Array, transpose: bool, src: Array, dst: Array, shifts, blocks, blas: bool = True) -> None:
+    """dst[:, d + lo : d + hi] += A_k @ src[:, s + lo : s + hi] for every block
+    (lo, hi) and, within it, every kernel offset k in order, where A_k is
+    wk[k] (or wk[k].T with `transpose`) and (s, d) = shifts[k].
+
+    Where `blas` is set and the checks below pass, each product is one
+    cblas_{s,d}gemm call with beta = 1 that adds straight into dst by
+    address and leading dimension. Otherwise the NumPy expression runs: it
+    writes each product to a temporary, by NumPy's matmul calling the same
+    GEMM with beta = 0, and adds that. With alpha = 1 the GEMM rounds each
+    sum once into C either way, so the two agree bit for bit. Checked in
+    code before any pointer is handed over (`_gemm_safe`):
+    - wk, src and dst share the dtype float32 or float64, for which the
+      bundled OpenBLAS exports the GEMM (`_gemm`);
+    - all three are C-contiguous (so src has unit column stride) and
+      aligned, and dst is writeable;
+    - the shapes agree and every slice lies inside src and dst;
+    - no dimension is 1, where NumPy's matmul calls GEMV or its own loop
+      instead of GEMM, and the inner dimension is at most _GEMM_MAX_INNER.
+    """
+    n_k, rows_w, cols_w = wk.shape
+    m, inner = (cols_w, rows_w) if transpose else (rows_w, cols_w)
+    gemm = _gemm(wk.dtype) if blas else None
+    if gemm is not None and _gemm_safe(wk, src, dst, m, inner, shifts, blocks):
+        isz = wk.itemsize
+        a0, s0, d0 = wk.ctypes.data, src.ctypes.data, dst.ctypes.data
+        lds, ldd, a_step = src.shape[1], dst.shape[1], rows_w * cols_w * isz
+        trans = _CBLAS_TRANS if transpose else _CBLAS_NO_TRANS
+        for lo, hi in blocks:
+            for k, (s, d) in enumerate(shifts):
+                gemm(_CBLAS_ROW_MAJOR, trans, _CBLAS_NO_TRANS, m, hi - lo, inner, 1.0, a0 + k * a_step,
+                     cols_w, s0 + (s + lo) * isz, lds, 1.0, d0 + (d + lo) * isz, ldd)
+        return
+    for lo, hi in blocks:
+        for k, (s, d) in enumerate(shifts):
+            dst[:, d + lo : d + hi] += (wk[k].T if transpose else wk[k]) @ src[:, s + lo : s + hi]
+
+
+def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape, blas: bool = True):
     """Stride-1 convolution as one matmul per kernel offset, with no column buffer.
 
     The padded input is flattened to [Cin, N]. The output voxel at flat index
@@ -686,14 +797,18 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
     are garbage and are cropped; the trailing zeros let the last slices fit.
     The loops run over blocks of about _CONV_BLOCK columns.
 
-    The forward pass and dx keep one matmul per offset: batching them was
-    slower or took more memory, as measured. The weight gradient takes one
-    matmul per block against a read-only strided view [kw, kh, kd, Cin, L]
-    of the padded input, whose window (a, b, c) is the offset's slice. That
-    view must not be reshaped to [K, Cin, L]: its strides do not merge, so
-    the reshape would copy a K-fold column buffer. Each window's product and
-    the sum over blocks are those of the per-offset loop, so dW equals that
-    loop's result bit for bit.
+    The forward pass and dx keep one matmul per (block, offset): batching
+    them was slower or took more memory, as measured. Each is one GEMM that
+    adds into the output block or the dx slice in place (`_accumulate`),
+    without the [Cout, block] temporary that `out += W_k @ X` writes and
+    reads back; `blas=False`, a missing GEMM or a failed precondition takes
+    that NumPy expression instead, with the same bits. The weight gradient
+    takes one matmul per block against a read-only strided view [kw, kh, kd,
+    Cin, L] of the padded input, whose window (a, b, c) is the offset's
+    slice. That view must not be reshaped to [K, Cin, L]: its strides do not
+    merge, so the reshape would copy a K-fold column buffer. Each window's
+    product and the sum over blocks are those of the per-offset loop, so dW
+    equals that loop's result bit for bit.
     """
     cin, w_, h_, d_ = xd.shape
     cout, _, kw, kh, kd = wd.shape
@@ -715,10 +830,7 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
     n_blocks = max(1, round(span / _CONV_BLOCK))
     blocks = [(span * i // n_blocks, span * (i + 1) // n_blocks) for i in range(n_blocks)]
     acc = np.zeros((cout, span), dtype=xd.dtype)
-    for lo, hi in blocks:
-        out_block = acc[:, lo:hi]
-        for k, off in enumerate(offsets):
-            out_block += wk[k] @ xf[:, off + lo : off + hi]
+    _accumulate(wk, False, xf, acc, [(off, 0) for off in offsets], blocks, blas)
     # the crop is copied, so a kept output does not pin the garbage columns
     out_data = acc.reshape(cout, ow, hp, dp)[:, :, :oh, :od].copy() if cropped else acc.reshape(out_shape)
 
@@ -741,13 +853,17 @@ def _conv3d_shifted(xd: Array, wd: Array, padding, out_shape):
             dw = np.ascontiguousarray(dwk.transpose(3, 4, 0, 1, 2))
         if need_x:
             dxf = np.zeros_like(xf)
-            for lo, hi in blocks:
-                for k, off in enumerate(offsets):
-                    dxf[:, off + lo : off + hi] += wk[k].T @ g[:, lo:hi]
+            _accumulate(wk, True, g, dxf, [(0, off) for off in offsets], blocks, blas)
             dx = dxf[:, :n_grid].reshape(cin, -1, hp, dp)[:, pw : pw + w_, ph : ph + h_, pd : pd + d_]
         return dx, dw
 
     return out_data, grads
+
+
+def _shifted(stride, cin: int, cout: int) -> bool:
+    """Whether conv3d runs a conv as shifted slices (`_conv3d_shifted`)
+    rather than im2col (`_conv3d_gather`); see conv3d."""
+    return tuple(stride) == (1, 1, 1) and cin >= cout
 
 
 def _conv3d_gather(xd: Array, wd: Array, stride, padding, out_shape):
@@ -801,8 +917,12 @@ def conv3d(
     Stride-1 convolutions run one matmul per kernel offset over shifted
     slices of the flattened padded input (`_conv3d_shifted`): no column
     buffer is built, only the padded input is kept for the backward pass,
-    and a 1x1x1 kernel is a single matmul. The path is picked from the
-    shapes alone; im2col (`_conv3d_gather`) is faster, as measured, when
+    and a 1x1x1 kernel is a single matmul. Where NumPy's bundled OpenBLAS
+    exports cblas_{s,d}gemm, the forward and dx products add into their
+    output in place (beta = 1) instead of through a temporary, with the
+    same bits; elsewhere the NumPy expression runs. The path is picked from
+    the shapes alone (`_shifted`); im2col (`_conv3d_gather`) is faster, as
+    measured, when
     - the stride is not 1: stride 1 then subsampling wastes most products;
     - Cin < Cout, as in the Cin=1 stem: each offset is then a thin product
       whose [Cout, L] accumulation costs more than gathering the columns.
@@ -816,7 +936,7 @@ def conv3d(
     if b is not None and b.shape != (cout,):
         raise ShapeMismatch(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
-    if stride == (1, 1, 1) and x.shape[0] >= cout:
+    if _shifted(stride, x.shape[0], cout):
         out_data, grads = _conv3d_shifted(_data(x), _data(w), padding, out_shape)
     else:
         out_data, grads = _conv3d_gather(_data(x), _data(w), stride, padding, out_shape)

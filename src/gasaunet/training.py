@@ -452,20 +452,16 @@ _SPINS_PER_CHECK = 1 << 14
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS that NumPy loaded, or
     None where no such pair is found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for stem, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
+    found = T.openblas_functions(*(
+        (f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}")
+        for stem, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
+    ))
+    if found is None:
+        return None
+    get, put = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _split_batch(batch: int) -> bool:

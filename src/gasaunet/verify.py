@@ -5,8 +5,9 @@ with the implementation it validates: central finite differences against the
 autodiff engine, an all-pairs surface-distance scan against the metric, a
 dense accumulation loop against the tiled inference path, analytic
 functions against the resampler, and the float64 forward pass and its
-gradients against the float32 ones that inference and training run, and
-a training step in one process against the same step split over two.
+gradients against the float32 ones that inference and training run,
+a training step in one process against the same step split over two, and
+the convolution's in-place BLAS GEMMs against its NumPy expression.
 """
 
 from __future__ import annotations
@@ -407,6 +408,45 @@ def check_training_processes(seed: int = 5) -> dict:
     }
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def check_conv_blas(seed: int = 5) -> dict:
+    """Every conv of the default 16^3 model that conv3d runs as shifted
+    slices, forward and backward on random float32 and float64 data, once
+    through the in-place CBLAS GEMMs and once through the NumPy expression:
+    the output, dx and dW must be bitwise equal. `path` says which one
+    conv3d takes here: cblas where the bundled OpenBLAS exports the GEMMs
+    (tensor._gemm), numpy elsewhere, where both runs take the NumPy path."""
+    from . import tensor as T
+    from .backbone import build_model, conv_layers, make_backbone_config
+
+    rng = Rng(seed)
+    model = build_model(make_backbone_config(1, 3, (16, 16, 16)), rng)
+    convs = [layer for layer in conv_layers(model, (16, 16, 16)) if T._shifted(layer[2], layer[1].shape[1], layer[1].shape[0])]
+    differ = []
+    for name, w, _, padding, grid_in, grid_out in convs:
+        cout, cin = w.shape[:2]
+        for dtype in (np.float32, np.float64):
+            x = rng.normal_array(cin * int(np.prod(grid_in))).reshape((cin,) + grid_in).astype(dtype)
+            g = rng.normal_array(cout * int(np.prod(grid_out))).reshape((cout,) + grid_out).astype(dtype)
+            runs = []
+            for blas in (True, False):
+                out, grads = T._conv3d_shifted(x, w.data.astype(dtype), padding, (cout,) + grid_out, blas)
+                runs.append((out, *grads(g, True, True)))
+            if not all(_same_bits(a, b) for a, b in zip(*runs)):
+                differ.append(f"{name} {np.dtype(dtype).name}")
+    cblas = all(T._gemm(np.dtype(dtype)) is not None for dtype in (np.float32, np.float64))
+    return {
+        "name": "conv_blas",
+        "passed": bool(convs) and not differ,
+        "path": "cblas" if cblas else "numpy",
+        "convs": [layer[0] for layer in convs],
+        "differ": differ,
+    }
+
+
 def run_all(perturb_gradients: bool = False) -> list[dict]:
     return [
         check_gradients(perturb=perturb_gradients),
@@ -416,4 +456,5 @@ def run_all(perturb_gradients: bool = False) -> list[dict]:
         check_inference_precision(),
         check_training_precision(),
         check_training_processes(),
+        check_conv_blas(),
     ]

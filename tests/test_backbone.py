@@ -223,6 +223,16 @@ def test_model_flops_of_the_default_16cube_model():
     assert count_model_flops(cfg, (16, 16, 16)) == 75_259_728
 
 
+def test_model_flops_reject_an_input_the_forward_rejects():
+    cfg = make_backbone_config(1, 3, (16, 16, 16))
+    model = build_model(cfg, Rng(0))
+    for shape in [(17, 16, 16), (16, 16, 6), (17, 33, 9)]:
+        with pytest.raises(ShapeMismatch):
+            model.forward(Tensor(np.zeros((1,) + shape)))
+        with pytest.raises(ShapeMismatch):
+            count_model_flops(cfg, shape)
+
+
 def _randomized(model, seed):
     """Perturb every parameter so norms, affines and activations all matter."""
     rng = Rng(seed)

@@ -334,6 +334,6 @@ def test_verify_exit_codes(capsys):
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert [c["name"] for c in report["checks"]] == [
         "gradient_oracle", "nsd_oracle", "interpolation_oracle", "sliding_window_oracle", "inference_precision",
-        "training_precision", "training_processes",
+        "training_precision", "training_processes", "conv_blas",
     ]
     assert run(["verify", "--perturb-gradient"]) == 3
