@@ -54,5 +54,6 @@ class NonFiniteLoss(GasaUNetError):
     """The training loss or a parameter's gradient became NaN or infinite."""
 
 
-class TrainingWorkerError(GasaUNetError):
-    """The process that computes part of each training batch failed or died."""
+class WorkerError(GasaUNetError):
+    """The worker process that shares training steps and mirror TTA
+    (gasaunet.worker) failed or died."""

@@ -3,17 +3,20 @@
 Volumes are tiled with windows of the training patch size at a configurable
 overlap; each window's class softmax is blended with a separable Gaussian
 weight map (peak 1 at the window center). Test-time augmentation averages
-the eight axis-mirrored predictions after undoing each flip.
+the eight axis-mirrored predictions after undoing each flip; where the
+process can, the worker process (gasaunet.worker) computes four of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import worker
 from .errors import ShapeMismatch
 from .tensor import keep_heap_resident, softmax_array
 
@@ -99,14 +102,18 @@ def sliding_window_predict(
 _FLIP_AXES = [tuple(ax + 1 for ax in range(3) if bits & (1 << ax)) for bits in range(8)]
 
 
-def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
-    """Average sliding-window predictions over all eight mirror combinations.
-
-    Tree-reduced so eight bitwise-equal terms (an exactly flip-equivariant
-    model) average back to themselves exactly.
-    """
+def _mirror_sum(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, passes: range, note=None) -> np.ndarray:
+    """Sum of the sliding-window predictions of mirror passes `passes`
+    (pass i flips the axes of the set bits of i, and its prediction is
+    flipped back), added pairwise in pass order, then the pair sums
+    pairwise, and so on. Over passes 0-7 the sum is (s0 + s1), where s0 and
+    s1 are this function's sums over passes 0-3 and 4-7. `note`, if given,
+    hears which pass starts."""
     preds = []
-    for axes in _FLIP_AXES:
+    for i in passes:
+        if note is not None:
+            note(f"mirror pass {i}")
+        axes = _FLIP_AXES[i]
         flipped = np.flip(volume, axis=axes) if axes else volume
         probs = sliding_window_predict(model, flipped, swc)
         if axes:
@@ -114,17 +121,58 @@ def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowCon
         preds.append(np.ascontiguousarray(probs))
     while len(preds) > 1:
         preds = [preds[i] + preds[i + 1] for i in range(0, len(preds), 2)]
-    return preds[0] / len(_FLIP_AXES)
+    return preds[0]
+
+
+def _far_passes(pair: worker.Worker, key: int, volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
+    """The worker's job in mirror TTA: the sum of passes 4-7."""
+    return _mirror_sum(pair.model_fn(key), volume, swc, range(4, 8), pair.note)
+
+
+def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
+    """Average sliding-window predictions over all eight mirror combinations.
+
+    Tree-reduced so eight bitwise-equal terms (an exactly flip-equivariant
+    model) average back to themselves exactly. Where this process can run
+    a worker (worker.usable), the worker process (gasaunet.worker) computes
+    passes 4-7 while this one computes passes 0-3, both with one BLAS
+    thread, and the two sums are added in the same tree order: the result
+    is bitwise the one-process result, for a model whose output depends on
+    its input alone. The worker takes the current parameters of a bound
+    GasaUNet.predict_logits on every call. It keeps its forked copy of any
+    other callable across calls with that same object, and forks afresh
+    only after train() stepped a model without it: such a callable, and
+    whatever it holds, must not change between calls in any other way
+    (gasaunet.worker); pass a new callable or call worker.close() first.
+    """
+    return _tta_mirror(model, volume, swc, worker.usable())
+
+
+def _tta_mirror(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, split: bool) -> np.ndarray:
+    """tta_mirror_predict, in two processes when `split`, else in this one."""
+    if not split:
+        return _mirror_sum(model, volume, swc, range(8)) / len(_FLIP_AXES)
+    with worker.section([model]) as pair:
+        pair.submit(_far_passes, pair.share(model), volume, swc)
+        near = _mirror_sum(model, volume, swc, range(4))
+        far = pair.result()
+    return (near + far) / len(_FLIP_AXES)
 
 
 def predict_probs(model: ModelFn | Sequence[ModelFn], volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
-    """Probability map from one model, or the mean over an ensemble of them."""
+    """Probability map from one model, or the mean over an ensemble of them.
+    With mirror TTA in two processes, the worker is registered for every
+    member at once, so the members do not restart it in turn. A member that
+    is not a bound GasaUNet.predict_logits must not change between calls
+    (see tta_mirror_predict)."""
     models = model if isinstance(model, (list, tuple)) else [model]
     predict = tta_mirror_predict if swc.tta_mirror else sliding_window_predict
+    ensemble = swc.tta_mirror and len(models) > 1 and worker.usable()
     total: np.ndarray | None = None
-    for fn in models:
-        probs = predict(fn, volume, swc)
-        total = probs if total is None else total + probs
+    with worker.section(models) if ensemble else contextlib.nullcontext():
+        for fn in models:
+            probs = predict(fn, volume, swc)
+            total = probs if total is None else total + probs
     return total / len(models)
 
 

@@ -768,10 +768,13 @@ def _accumulate(wk: Array, transpose: bool, src: Array, dst: Array, shifts, bloc
     - the shapes agree and every slice lies inside src and dst;
     - no dimension is 1, where NumPy's matmul calls GEMV or its own loop
       instead of GEMM, and the inner dimension is at most _GEMM_MAX_INNER.
+    A single kernel offset (a 1x1x1 conv) always takes the NumPy
+    expression: the GEMM path's fixed cost of ~10 us before its first call
+    is more than one product per block saves.
     """
     n_k, rows_w, cols_w = wk.shape
     m, inner = (cols_w, rows_w) if transpose else (rows_w, cols_w)
-    gemm = _gemm(wk.dtype) if blas else None
+    gemm = _gemm(wk.dtype) if blas and n_k > 1 else None
     if gemm is not None and _gemm_safe(wk, src, dst, m, inner, shifts, blocks):
         isz = wk.itemsize
         a0, s0, d0 = wk.ctypes.data, src.ctypes.data, dst.ctypes.data
@@ -918,9 +921,10 @@ def conv3d(
     slices of the flattened padded input (`_conv3d_shifted`): no column
     buffer is built, only the padded input is kept for the backward pass,
     and a 1x1x1 kernel is a single matmul. Where NumPy's bundled OpenBLAS
-    exports cblas_{s,d}gemm, the forward and dx products add into their
-    output in place (beta = 1) instead of through a temporary, with the
-    same bits; elsewhere the NumPy expression runs. The path is picked from
+    exports cblas_{s,d}gemm, the forward and dx products of a kernel with
+    more than one offset add into their output in place (beta = 1) instead
+    of through a temporary, with the same bits; elsewhere, and for 1x1x1
+    kernels, the NumPy expression runs. The path is picked from
     the shapes alone (`_shifted`); im2col (`_conv3d_gather`) is faster, as
     measured, when
     - the stride is not 1: stride 1 then subsampling wastes most products;

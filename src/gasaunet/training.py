@@ -9,17 +9,11 @@ continues the exact trajectory of an unbroken one.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
-import mmap
 import os
-import platform
-import signal
 import struct
 import time
-import traceback
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from . import worker
 from .backbone import BackboneConfig, GasaUNet, build_model
-from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, TrainingWorkerError, VersionMismatch
+from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
 from .gasa import GasaConfig, dropout_draws
 from .losses import soft_dice_ce_loss
 from .phantom import load_manifest
@@ -36,7 +31,9 @@ from .tensor import Rng, Tensor, keep_heap_resident, precision
 from .volume import NormStats, clip_normalize, compute_norm_stats, read_volume, resample_image, resample_labels, target_spacing
 
 CKPT_MAGIC = b"GASACKPT1"
-CKPT_VERSION = 1
+# Version 2 adds a CRC-32 of the JSON header after its length; version 1
+# files, without it, still load.
+CKPT_VERSION = 2
 
 
 @dataclass
@@ -140,8 +137,9 @@ def checkpoint_from_model(
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """magic + version + JSON header + concatenated float64 payloads. The
-    header's `payload_crc32` is the zlib CRC-32 of the payload bytes.
+    """magic + version + header length + header CRC-32 + JSON header +
+    concatenated float64 payloads. The header CRC-32 is the zlib CRC-32 of
+    the JSON bytes; the header's `payload_crc32` is that of the payload.
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path` in one step: a save that fails part-way leaves an earlier
@@ -169,7 +167,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
+            fh.write(struct.pack("<IQI", CKPT_VERSION, len(blob), zlib.crc32(blob)))
             fh.write(blob)
             fh.write(payload)
         os.replace(tmp, path)
@@ -195,19 +193,26 @@ def _int_list(path, table, key: str, where: str = "header") -> list[int]:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a header field that is missing or mistyped, a
-    truncated payload, a non-finite tensor or a payload whose CRC-32 differs
-    from the header's `payload_crc32` raises VersionMismatch naming the file
-    and the field or tensor. Files written before the checksum existed have
-    no `payload_crc32` and load unchecked."""
+    """Read a checkpoint of version 1 or 2; a version 2 header whose CRC-32
+    differs from the stored one, a header field that is missing or
+    mistyped, a truncated payload, a non-finite tensor or a payload whose
+    CRC-32 differs from the header's `payload_crc32` raises VersionMismatch
+    naming the file and the field or tensor. Version 1 files have no
+    header CRC-32, and those written before the payload checksum existed
+    have no `payload_crc32`; what is missing goes unchecked."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise VersionMismatch(f"{path}: bad checkpoint magic")
     try:
         version, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
-        if version != CKPT_VERSION:
-            raise VersionMismatch(f"{path}: checkpoint version {version}, expected {CKPT_VERSION}")
+        if version not in (1, CKPT_VERSION):
+            raise VersionMismatch(f"{path}: checkpoint version {version}, expected 1 or {CKPT_VERSION}")
         hstart = len(CKPT_MAGIC) + 12
+        if version == CKPT_VERSION:
+            (header_crc,) = struct.unpack_from("<I", raw, hstart)
+            hstart += 4
+            if zlib.crc32(raw[hstart : hstart + hlen]) != header_crc:
+                raise VersionMismatch(f"{path}: checkpoint header does not match its CRC-32 {header_crc} (corrupted)")
         header = json.loads(raw[hstart : hstart + hlen])
     except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise VersionMismatch(f"{path}: unreadable checkpoint header ({exc})") from exc
@@ -420,15 +425,6 @@ def _backprop_sample(model: GasaUNet, data: PreparedData, cfg: TrainConfig, rng:
     return loss.item()
 
 
-def _views(flat: np.ndarray, named: list[tuple[str, Tensor]]) -> list[np.ndarray]:
-    """One view of `flat` per parameter, shaped like it, in order."""
-    views, at = [], 0
-    for _, p in named:
-        views.append(flat[at : at + p.size].reshape(p.shape))
-        at += p.size
-    return views
-
-
 def _sum_grads(samples: list[list[np.ndarray | None]], views: list[np.ndarray]) -> None:
     """Each view <- its parameter's gradients summed over the samples, in
     sample order; a missing gradient counts as 0."""
@@ -443,174 +439,60 @@ def _sum_grads(samples: list[list[np.ndarray | None]], views: list[np.ndarray]) 
 # two-process batch
 # ---------------------------------------------------------------------------
 
-_ERROR_BYTES = 2   # slot of the shared flags after the two processes' own
-_ERROR_ROOM = 1 << 16
-_SPINS_PER_CHECK = 1 << 14
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that NumPy loaded, or
-    None where no such pair is found."""
-    found = T.openblas_functions(*(
-        (f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}")
-        for stem, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
-    ))
-    if found is None:
-        return None
-    get, put = found
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
 
 def _split_batch(batch: int) -> bool:
-    """Whether train() runs the samples of each step in two processes. It
-    needs a batch of 2 or more, 2 or more usable CPUs, os.fork, the
-    OpenBLAS thread-count getter and setter, and an x86-64 CPU: the
-    processes publish buffers before their flags, and Python has no memory
-    fence, so this relies on x86-64 making stores visible in program order."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (
-        batch >= 2
-        and hasattr(os, "fork")
-        and platform.machine().lower() in ("x86_64", "amd64")
-        and affinity is not None
-        and len(affinity(0)) >= 2
-        and _openblas_threads() is not None
-    )
+    """Whether train() runs the samples of each step in two processes: a
+    batch of 2 or more where this process can run a worker (worker.usable)."""
+    return batch >= 2 and worker.usable()
 
 
-class _BatchWorker:
-    """A forked process that runs the steps of one train() call on samples
-    [half, batch) of each, while the parent runs them on samples [0, half).
+def _exchange(pair: worker.Worker, step: int, samples: range, grads: list[list[np.ndarray | None]],
+              losses: list[float], out: list[np.ndarray], params: list[Tensor]) -> Tensor:
+    """A node standing for the other process's samples of `step`. Its
+    backward copies this process's sample gradients and losses into their
+    rows of the step's buffer set, posts the step, waits for the other
+    process and sums every row into `out` in sample order, so both
+    processes get the same bits. Flags only grow, and the other process is
+    at most one step ahead: before it writes a set for step k it has seen
+    this one post step k-1, which this one does only after it has read step
+    k-2, the set's previous use. Waiting in a backward pass keeps the wait
+    inside the span that an outside tracer gives backward()."""
+    k = step % 2
 
-    The two processes share one anonymous mapping made before the fork: a
-    flag per process holding the last step it posted (the worker's is -1
-    once it failed), two sets of step buffers, for odd and for even steps,
-    and room for the worker's error message. A set holds one gradient row
-    and one loss per sample. Each process copies its own samples into
-    their rows and posts its flag, then spins until the other's flag
-    reaches the step (blocking waits stalled the step) and sums all rows in
-    sample order: both get the same bits and take the same optimizer step,
-    so the parameters never cross. Flags only grow, and the other process
-    is at most one step ahead: before it writes a set for step k it has
-    seen this one post step k-1, which this one does only after it has
-    read step k-2, the set's previous use.
-    """
+    def bw(_g):
+        for i, g in zip(samples, grads):
+            _sum_grads([g], pair.rows[k][i])
+        pair.losses[k, samples.start : samples.stop] = losses
+        pair.post(step)
+        pair.wait(step)
+        _sum_grads(pair.rows[k], out)
 
-    def __init__(self, named: list[tuple[str, Tensor]], batch: int):
-        n = sum(p.size for _, p in named)
-        width = batch * (n + 1)
-        self._map = mmap.mmap(-1, 8 * (3 + 2 * width) + _ERROR_ROOM)
-        self.flags = np.frombuffer(self._map, np.int64, 3)
-        sets = np.frombuffer(self._map, np.float64, 2 * width, 8 * 3).reshape(2, width)
-        self.rows = [[_views(row, named) for row in rows.reshape(batch, n)] for rows in sets[:, : batch * n]]
-        self.losses = sets[:, batch * n :]
-        self.error = np.frombuffer(self._map, np.uint8, _ERROR_ROOM, 8 * (3 + 2 * width))
-        self.params = [p for _, p in named]
-        self.me = 0   # this process's flag: 0 in the parent, 1 in the worker
-        self.parent = os.getpid()
-        self.pid: int | None = None
-        self.doing = ""
+    return T._node(np.zeros(()), params, bw)
 
-    def exchange(self, step: int, samples: range, grads: list[list[np.ndarray | None]], losses: list[float],
-                 out: list[np.ndarray], leaving: bool) -> Tensor:
-        """A node standing for the other process's samples of `step`. Its
-        backward copies this process's sample gradients and losses into
-        their rows and posts the step; unless `leaving`, it then waits for
-        the other process and sums every row into `out`. Waiting in a backward
-        pass keeps the wait inside the span that an outside tracer gives
-        backward()."""
-        k = step % 2
 
-        def bw(_g):
-            for i, g in zip(samples, grads):
-                _sum_grads([g], self.rows[k][i])
-            self.losses[k, samples.start : samples.stop] = losses
-            self.flags[self.me] = step
-            if not leaving:
-                self.wait(step)
-                _sum_grads(self.rows[k], out)
-
-        return T._node(np.zeros(()), self.params, bw)
-
-    def wait(self, step: int) -> None:
-        """Spin until the other process has posted `step`, checking now and
-        then that it is still there. Its flag may be one step further on."""
-        flags, other, spins = self.flags, 1 - self.me, 0
-        while flags[other] < step:
-            spins += 1
-            if spins % _SPINS_PER_CHECK == 0 or flags[other] < 0:
-                self._check_other()
-
-    def _check_other(self) -> None:
-        """In the parent, raise if the worker failed or died; in the
-        worker, leave if the parent is gone."""
-        if self.me:
-            if os.getppid() != self.parent:
-                os._exit(1)
-            return
-        if self.flags[1] < 0:
-            text = bytes(self.error[: self.flags[_ERROR_BYTES]]).decode(errors="replace")
-            message, _, trace = text.partition("\n")
-            err = TrainingWorkerError(message)
-            if hasattr(err, "add_note"):
-                err.add_note(trace)
-            raise err
-        pid, status = os.waitpid(self.pid, os.WNOHANG)
-        if pid:
-            self.pid = None
-            raise TrainingWorkerError(f"the training worker died (wait status {status}) during {self.doing}")
-
-    def start(self, *steps) -> None:
-        """Fork the worker, which runs _step_loop(*steps) and leaves with
-        os._exit. A forked child starts with the parent's model, data,
-        momentum and RNG, so only gradients need to cross; it runs no other
-        thread (OpenBLAS shuts its pool down across a fork, and BLAS runs
-        one thread here)."""
-        pid = os.fork()
-        if pid:
-            self.pid = pid
-            return
-        code, self.me = 1, 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's KeyboardInterrupt reaps this process
-            _step_loop(*steps, self)
-            code = 0
-        except BaseException as exc:
-            text = f"{self.doing} raised in the training worker: {type(exc).__name__}: {exc}\n"
-            data = (text + traceback.format_exc()).encode()[:_ERROR_ROOM]
-            self.error[: len(data)] = np.frombuffer(data, np.uint8)
-            self.flags[_ERROR_BYTES] = len(data)
-            self.flags[self.me] = -1
-        finally:
-            os._exit(code)
-
-    def close(self, kill: bool = False) -> None:
-        """Reap the worker: after its last step it exits by itself; kill
-        stops it first, for a run that ends early."""
-        if self.pid is None:
-            return
-        if kill:
-            os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
+def _worker_steps(pair: worker.Worker, model_key: int, data_key: int, cfg: TrainConfig, rng_state: tuple[int, int],
+                  epochs: range, samples: range) -> None:
+    """The worker's side of a two-process train() call: every step of
+    `epochs` on samples `samples`, from the parameters and momentum the
+    parent shared. It takes every optimizer step, so its copy of the model
+    ends where the parent's does."""
+    model = pair.take(model_key)
+    _step_loop(model, pair.take(data_key), cfg, pair.momentum(model_key), Rng.from_state(rng_state), epochs, None,
+               samples, pair)
 
 
 def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray], rng: Rng,
-               epochs: range, log_fh, samples: range, pair: _BatchWorker | None) -> tuple[Rng, list[dict]]:
+               epochs: range, log_fh, samples: range, pair: worker.Worker | None) -> tuple[Rng, list[dict]]:
     """Every step of `epochs`, this process computing samples `samples` of
-    each and `pair` the others, if any; returns the RNG after the last step
-    and the per-epoch log, which goes to log_fh too unless it is None. The
-    worker returns right after it posts its last step: nothing reads its
-    parameters then."""
+    each and the other process of `pair` the others, if any; returns the RNG
+    after the last step and the per-epoch log, which goes to log_fh too
+    unless it is None."""
     named = list(model.named_params())
+    params = [p for _, p in named]
     draws = _sample_draws(model.cfg)
     weight = Tensor(1.0 / cfg.batch)
     grads = np.empty(sum(p.size for _, p in named))
-    grad_views = _views(grads, named)
-    last = len(epochs) * cfg.iters_per_epoch
+    grad_views = worker.views(grads, named)
     log: list[dict] = []
     step = 0
     for epoch in epochs:
@@ -623,7 +505,7 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
             sample_losses, own = [], []
             for i in samples:
                 if pair is not None:
-                    pair.doing = f"sample {i} of epoch {epoch}, iteration {it}"
+                    pair.note(f"sample {i} of epoch {epoch}, iteration {it}")
                 sample_losses.append(
                     _backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight)
                 )
@@ -631,13 +513,10 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
             if pair is None:
                 _sum_grads(own, grad_views)
             else:
-                pair.doing = f"epoch {epoch}, iteration {it}"
-                leaving = pair.me == 1 and step == last
-                pair.exchange(step, samples, own, sample_losses, grad_views, leaving).backward()
-                if leaving:
-                    return rng, log
+                pair.note(f"epoch {epoch}, iteration {it}")
+                _exchange(pair, step, samples, own, sample_losses, grad_views, params).backward()
                 sample_losses = pair.losses[step % 2].tolist()
-            for (_, p), g in zip(named, grad_views):
+            for p, g in zip(params, grad_views):
                 p.grad = g
             rng = Rng(rng.seed, start + cfg.batch * draws)
             batch_loss = sample_losses[0]
@@ -650,6 +529,8 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
                 name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
                 raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
             sgd_nesterov_step(named, momentum, lr, cfg.momentum)
+            if pair is None:
+                worker.serial_steps += 1
             losses.append(loss_value)
         entry = {"epoch": epoch, "lr": lr, "loss": float(np.mean(losses)), "seconds": time.perf_counter() - t0}
         log.append(entry)
@@ -677,13 +558,13 @@ def train(
     gradient is the sum of the samples' gradients in sample order, and
     sample i of a step draws its random numbers from the step's RNG counter
     + i * (draws per sample), as one sample after another would.
-    With a batch of 2 or more, 2 or more steps in the call, 2 or more
-    usable CPUs, os.fork, OpenBLAS and an x86-64 CPU (_split_batch), a
-    forked worker runs the same steps on samples [ceil(batch/2), batch) of
-    each while this process runs them on the others, both with one BLAS
-    thread; the result is bitwise the same. The
-    worker lives for this call only and is reaped on return and on any
-    exception; one that fails or dies raises TrainingWorkerError.
+    With a batch of 2 or more, 2 or more steps in the call, and a process
+    that can run a worker (worker.usable), the worker process (gasaunet.worker)
+    runs the same steps on samples [ceil(batch/2), batch) of each while this
+    process runs them on the others, both with one BLAS thread; the result
+    is bitwise the same. The worker outlives the call and serves later
+    calls with the same model, data and batch (the data must not change in
+    place between them); one that fails or dies raises WorkerError.
     A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
     gradient, naming the first such parameter, both before the optimizer
     step; resume momentum that does not match the model's parameters by
@@ -730,34 +611,26 @@ def _train(
     end_epoch = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
 
     epochs = range(start_epoch, end_epoch)
-    split = split and len(epochs) * cfg.iters_per_epoch >= 2
-    half = (cfg.batch + 1) // 2 if split else cfg.batch
-    pair = _BatchWorker(named, cfg.batch) if split else None
-    log_fh = blas_threads = None
+    log_fh = open(log_path, "a") if log_path is not None else None
     try:
-        if pair is not None:
-            get_threads, set_threads = _openblas_threads()
-            blas_threads = get_threads()
-            set_threads(1)
-            pair.start(model, data, cfg, momentum, rng, epochs, None, range(half, cfg.batch))
-        log_fh = open(log_path, "a") if log_path is not None else None
-        rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
-        extra = {
-            "stats": data.stats.to_dict(),
-            "spacing": list(data.spacing),
-            "patch_size": list(cfg.patch_size),
-            "num_classes": data.num_classes,
-        }
-        if resume is not None and resume.extra:
-            extra = {**resume.extra, **extra}
-        ckpt = checkpoint_from_model(model, momentum, end_epoch, rng, extra)
-        if pair is not None:
-            pair.close()
+        if split and len(epochs) * cfg.iters_per_epoch >= 2:
+            half = (cfg.batch + 1) // 2
+            with worker.section([model, data], cfg.batch) as pair:
+                pair.submit(_worker_steps, pair.share(model, momentum), pair.share(data), cfg, rng.state, epochs,
+                            range(half, cfg.batch))
+                rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
+                pair.result()
+        else:
+            rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(cfg.batch), None)
     finally:
-        if pair is not None:
-            pair.close(kill=True)
-        if blas_threads is not None:
-            set_threads(blas_threads)
         if log_fh is not None:
             log_fh.close()
-    return ckpt, log
+    extra = {
+        "stats": data.stats.to_dict(),
+        "spacing": list(data.spacing),
+        "patch_size": list(cfg.patch_size),
+        "num_classes": data.num_classes,
+    }
+    if resume is not None and resume.extra:
+        extra = {**resume.extra, **extra}
+    return checkpoint_from_model(model, momentum, end_epoch, rng, extra), log

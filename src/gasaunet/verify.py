@@ -6,8 +6,9 @@ autodiff engine, an all-pairs surface-distance scan against the metric, a
 dense accumulation loop against the tiled inference path, analytic
 functions against the resampler, and the float64 forward pass and its
 gradients against the float32 ones that inference and training run,
-a training step in one process against the same step split over two, and
-the convolution's in-place BLAS GEMMs against its NumPy expression.
+a training step and mirror TTA in one process against the same work
+split over two, and the convolution's in-place BLAS GEMMs against its NumPy
+expression.
 """
 
 from __future__ import annotations
@@ -372,9 +373,9 @@ def check_training_precision(seed: int = 5) -> dict:
 def check_training_processes(seed: int = 5) -> dict:
     """Two train() steps of the default model at batch 2 on a random 20^3
     case, computed in this process and again with the second sample of each
-    in a forked worker (a one-step call does not fork): the loss,
+    in the worker process (a one-step call does not use it): the loss,
     parameters, momentum and RNG state must be bitwise equal. `path` says
-    which way train() itself runs here; where it cannot fork a worker
+    which way train() itself runs here; where it cannot use the worker
     (training._split_batch), both runs stay in this process."""
     from . import training
     from .backbone import build_model, make_backbone_config
@@ -405,6 +406,28 @@ def check_training_processes(seed: int = 5) -> dict:
         "loss": one_log[0]["loss"],
         "same_loss": same_loss,
         "tensors_differ": differ,
+    }
+
+
+def check_tta_processes(seed: int = 5) -> dict:
+    """Mirror TTA of the default 16^3 model on a random 20^3 volume (8
+    tiles per pass), computed in this process and again with passes 4-7 in
+    the worker process: the probability maps must be bitwise equal. `path`
+    says which way tta_mirror_predict itself runs here; where this process
+    cannot run a worker (worker.usable), both runs stay in this process."""
+    from . import inference, worker
+    from .backbone import build_model, make_backbone_config
+
+    rng = Rng(seed)
+    model = build_model(make_backbone_config(1, 3, (16, 16, 16)), rng)
+    volume = rng.normal_array(20 ** 3).reshape(1, 20, 20, 20)
+    swc = inference.SlidingWindowConfig(patch_size=(16, 16, 16), tta_mirror=True)
+    two = worker.usable()
+    one_probs, two_probs = (inference._tta_mirror(model.predict_logits, volume, swc, split) for split in (False, two))
+    return {
+        "name": "tta_processes",
+        "passed": _same_bits(one_probs, two_probs),
+        "path": "two processes" if two else "one process",
     }
 
 
@@ -456,5 +479,6 @@ def run_all(perturb_gradients: bool = False) -> list[dict]:
         check_inference_precision(),
         check_training_precision(),
         check_training_processes(),
+        check_tta_processes(),
         check_conv_blas(),
     ]

@@ -3,6 +3,8 @@ import signal
 
 import pytest
 
+from gasaunet import worker
+
 TEST_TIME_LIMIT_S = 600
 
 
@@ -29,8 +31,10 @@ def time_limit():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail any test that leaves a child process unreaped, running or not."""
+    """Fail any test that leaves a child process unreaped, running or not,
+    once the worker that outlives calls (gasaunet.worker) is closed."""
     yield
+    worker.close()
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

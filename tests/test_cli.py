@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -127,10 +128,20 @@ def test_usage_errors_exit_1():
 def test_eval_malformed_checkpoint_header_exits_2(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     blob = json.dumps({"epoch": 0}).encode()
-    ckpt.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob)
+    ckpt.write_bytes(CKPT_MAGIC + struct.pack("<IQI", CKPT_VERSION, len(blob), zlib.crc32(blob)) + blob)
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "'tensors'" in err
+
+
+def test_eval_checkpoint_with_a_flipped_header_digit_exits_2(trained, dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    raw = (trained / "model.ckpt").read_bytes()
+    assert raw.count(b'"epoch": 2') == 1
+    ckpt.write_bytes(raw.replace(b'"epoch": 2', b'"epoch": 3'))
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(dataset), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: checkpoint header does not match its CRC-32" in err
 
 
 def test_eval_checkpoint_with_a_shape_too_large_for_int64_exits_2(tmp_path, capsys):
@@ -138,12 +149,13 @@ def test_eval_checkpoint_with_a_shape_too_large_for_int64_exits_2(tmp_path, caps
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(checkpoint_from_model(build_model(cfg, Rng(0)), {}, 0, Rng(0)), ckpt)
     raw = ckpt.read_bytes()
-    start = len(CKPT_MAGIC) + 12
+    start = len(CKPT_MAGIC) + 16
     _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
     header = json.loads(raw[start : start + hlen])
     header["tensors"][0]["shape"] = [2**32, 2**32]
     blob = json.dumps(header).encode()
-    ckpt.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob + raw[start + hlen :])
+    prefix = struct.pack("<IQI", CKPT_VERSION, len(blob), zlib.crc32(blob))
+    ckpt.write_bytes(CKPT_MAGIC + prefix + blob + raw[start + hlen :])
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and f"tensor {header['tensors'][0]['name']} needs payload bytes" in err
@@ -334,6 +346,6 @@ def test_verify_exit_codes(capsys):
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert [c["name"] for c in report["checks"]] == [
         "gradient_oracle", "nsd_oracle", "interpolation_oracle", "sliding_window_oracle", "inference_precision",
-        "training_precision", "training_processes", "conv_blas",
+        "training_precision", "training_processes", "tta_processes", "conv_blas",
     ]
     assert run(["verify", "--perturb-gradient"]) == 3

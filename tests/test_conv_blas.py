@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gasaunet import tensor as T
 from gasaunet import training
-from gasaunet.backbone import build_model, make_backbone_config
+from gasaunet.backbone import build_model, conv_layers, make_backbone_config
 from gasaunet.tensor import Rng
 from gasaunet.volume import NormStats
 
@@ -215,3 +215,25 @@ def test_train_is_bitwise_the_same_with_and_without_cblas(monkeypatch, gemm_call
     for name in ref_ckpt.params:
         assert same_bits(ckpt.params[name], ref_ckpt.params[name]), name
         assert same_bits(ckpt.momentum[name], ref_ckpt.momentum[name]), name
+
+
+@needs_cblas
+def test_one_by_one_convs_take_the_numpy_loop_and_larger_kernels_the_gemm(gemm_calls):
+    """The default 16^3 model's shifted convs, forward and backward: the
+    1x1x1 decoder reduces and head make no GEMM call, every 3x3x3 conv does."""
+    rng = Rng(8)
+    model = build_model(make_backbone_config(1, 3, (16, 16, 16)), rng)
+    calls = {}
+    for name, w, stride, padding, grid_in, grid_out in conv_layers(model, (16, 16, 16)):
+        if not T._shifted(stride, w.shape[1], w.shape[0]):
+            continue
+        cout, cin = w.shape[:2]
+        x = rng.normal_array(cin * int(np.prod(grid_in))).reshape((cin,) + grid_in).astype(np.float32)
+        g = rng.normal_array(cout * int(np.prod(grid_out))).reshape((cout,) + grid_out).astype(np.float32)
+        before = len(gemm_calls)
+        _, grads = T._conv3d_shifted(x, w.data.astype(np.float32), padding, (cout,) + grid_out)
+        grads(g, True, True)
+        calls[name] = (w.shape[2:], len(gemm_calls) - before)
+    ones = {name for name, (kernel, _) in calls.items() if kernel == (1, 1, 1)}
+    assert ones == {"dec0.reduce.w", "dec1.reduce.w", "head.w"}
+    assert all((n == 0) == (name in ones) for name, (_, n) in calls.items()), calls

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasaunet import tensor as T
 from gasaunet.errors import InvalidConfig, ShapeMismatch
 from gasaunet.gasa import (
+    PE_MODES,
     GasaConfig,
     add_positional_embedding,
     axial_expand,
@@ -116,23 +119,39 @@ def test_mhsa_matches_brute_force():
     assert np.allclose(out.data, expect, atol=1e-12)
 
 
-def test_mhsa_heads_match_per_head_reference():
-    # head h owns columns [h*d_k, (h+1)*d_k) of Q, K and V; merged heads keep that order
-    cfg = small_cfg(spatial=(4, 6, 8), d_model=25, heads=5)
-    params = init_gasa_params(cfg, Rng(33))
-    x = Rng(34).normal_array(18 * 25).reshape(18, 25)
-    q = x @ params.wq.data + params.bq.data
-    k = x @ params.wk.data
-    v = x @ params.wv.data + params.bv.data
+def per_head_reference(x, params, cfg):
+    """(output, per-head attention) of mhsa without dropout, one head at a
+    time: head h owns columns [h*d_k, (h+1)*d_k) of Q, K and V, and the
+    merged heads keep that order."""
+
+    def project(w, b, key):
+        out = x @ w.data + (b.data if b is not None else 0.0)
+        if cfg.use_layer_norm:
+            mean = out.mean(axis=1, keepdims=True)
+            var = ((out - mean) ** 2).mean(axis=1, keepdims=True)
+            out = (out - mean) / np.sqrt(var + 1e-5) * params.ln[f"{key}_gamma"].data
+            if f"{key}_beta" in params.ln:
+                out = out + params.ln[f"{key}_beta"].data
+        return out
+
+    q, k, v = project(params.wq, params.bq, "q"), project(params.wk, params.bk, "k"), project(params.wv, params.bv, "v")
+    dk = cfg.d_k
     head_outs, head_probs = [], []
-    for hd in range(5):
-        cols = slice(5 * hd, 5 * hd + 5)
-        scores = q[:, cols] @ k[:, cols].T / np.sqrt(5.0)
+    for hd in range(cfg.heads):
+        cols = slice(dk * hd, dk * hd + dk)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dk)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         head_probs.append(probs)
         head_outs.append(probs @ v[:, cols])
-    expect = np.concatenate(head_outs, axis=1) @ params.wo.data + params.bo.data
+    return np.concatenate(head_outs, axis=1) @ params.wo.data + params.bo.data, head_probs
+
+
+def test_mhsa_heads_match_per_head_reference():
+    cfg = small_cfg(spatial=(4, 6, 8), d_model=25, heads=5)
+    params = init_gasa_params(cfg, Rng(33))
+    x = Rng(34).normal_array(18 * 25).reshape(18, 25)
+    expect, head_probs = per_head_reference(x, params, cfg)
 
     out, weights = mhsa(Tensor(x), params, cfg, return_weights=True)
     assert np.allclose(out.data, expect, rtol=0, atol=1e-12)
@@ -140,6 +159,43 @@ def test_mhsa_heads_match_per_head_reference():
     for got, want in zip(weights, head_probs):
         assert got.shape == (18, 18)
         assert np.allclose(got.data, want, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    spatial=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    heads=st.integers(1, 4),
+    d_k=st.integers(1, 4),
+    pe_mode=st.sampled_from(PE_MODES),
+    use_layer_norm=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_attention_shape_space(spatial, heads, d_k, pe_mode, use_layer_norm, seed):
+    """Over token counts per axis, heads, d_model divisible by heads, PE
+    placement and layer norm: mhsa matches the per-head reference, its
+    attention rows sum to 1, and mhsa and the whole block are finite."""
+    cfg = GasaConfig(in_channels=2, spatial=spatial, d_model=heads * d_k, heads=heads, pe_mode=pe_mode,
+                     use_layer_norm=use_layer_norm, dropout_p=0.0)
+    rng = Rng(seed)
+    params = init_gasa_params(cfg, rng)
+    for _, t in params.named():   # random biases, layer-norm shifts and PE table, which start at zero
+        if not t.data.any():
+            t.data[...] = rng.normal_array(t.size).reshape(t.shape)
+    n = sum(spatial)
+    x = rng.normal_array(n * cfg.d_model).reshape(n, cfg.d_model)
+    expect, head_probs = per_head_reference(x, params, cfg)
+
+    out, weights = mhsa(Tensor(x), params, cfg, return_weights=True)
+    assert out.shape == (n, cfg.d_model) and np.isfinite(out.data).all()
+    assert np.allclose(out.data, expect, rtol=1e-9, atol=1e-9)
+    assert len(weights) == heads
+    for got, want in zip(weights, head_probs):
+        assert got.shape == (n, n)
+        assert np.max(np.abs(got.data.sum(axis=-1) - 1.0)) <= 1e-12
+        assert np.allclose(got.data, want, rtol=1e-9, atol=1e-12)
+    vol = rng.normal_array(2 * int(np.prod(spatial))).reshape((2,) + spatial)
+    block = gasa_forward(Tensor(vol), params, cfg)
+    assert block.shape == (2 + 3 * cfg.d_model,) + spatial and np.isfinite(block.data).all()
 
 
 def test_axial_expand_broadcast_constancy():

@@ -4,14 +4,15 @@ import re
 import signal
 import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 from gasaunet.backbone import make_backbone_config, build_model
 from gasaunet import tensor as T
-from gasaunet import training
-from gasaunet.errors import InvalidEpoch, NonFiniteLoss, TrainingWorkerError, VersionMismatch
+from gasaunet import training, worker
+from gasaunet.errors import InvalidEpoch, NonFiniteLoss, WorkerError, VersionMismatch
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
@@ -223,11 +224,14 @@ def test_non_finite_checkpoint_tensor_rejected(tmp_path, table):
 
 
 def _rewrite_header(path, edit):
+    """Apply `edit` to a saved checkpoint's JSON header, stored with its
+    new CRC-32, so that the field checks behind the CRC are what is tested."""
     raw = path.read_bytes()
-    start = len(CKPT_MAGIC) + 12
+    start = len(CKPT_MAGIC) + 16
     _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
     blob = json.dumps(edit(json.loads(raw[start : start + hlen]))).encode()
-    path.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob + raw[start + hlen :])
+    prefix = struct.pack("<IQI", CKPT_VERSION, len(blob), zlib.crc32(blob))
+    path.write_bytes(CKPT_MAGIC + prefix + blob + raw[start + hlen :])
 
 
 def _without(table, key):
@@ -265,6 +269,28 @@ def test_checkpoint_shape_whose_size_overflows_int64_names_file_and_tensor(tmp_p
     first = f"p.{list(ckpt.params)[0]}"
     with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*{re.escape(first)} needs payload bytes"):
         load_checkpoint(path)
+
+
+def test_flipped_header_digit_that_still_parses_is_rejected(tmp_path):
+    """Epoch 0 read as epoch 1 would load and resume on the wrong schedule."""
+    path = tmp_path / "model.ckpt"
+    _saved_untrained_checkpoint(path)
+    raw = path.read_bytes()
+    assert raw.count(b'"epoch": 0') == 1
+    path.write_bytes(raw.replace(b'"epoch": 0', b'"epoch": 1'))
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}: checkpoint header does not match its CRC-32"):
+        load_checkpoint(path)
+
+
+def test_version_1_checkpoint_without_header_checksum_loads(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt = _saved_untrained_checkpoint(path)
+    raw = path.read_bytes()
+    _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
+    path.write_bytes(CKPT_MAGIC + struct.pack("<IQ", 1, hlen) + raw[len(CKPT_MAGIC) + 16 :])
+    loaded = load_checkpoint(path)
+    assert loaded.epoch == ckpt.epoch
+    assert all(np.array_equal(loaded.params[k], v) for k, v in ckpt.params.items())
 
 
 def test_checkpoint_without_payload_checksum_loads(tmp_path):
@@ -510,7 +536,7 @@ def test_an_exception_in_a_worker_sample_names_epoch_iteration_and_sample(monkey
 
     monkeypatch.setattr(training, "sample_loss", failing)
     pids = forked_pids(monkeypatch)
-    with pytest.raises(TrainingWorkerError, match=r"^sample 1 of epoch 1, iteration 1 raised .*ValueError: bad patch"):
+    with pytest.raises(WorkerError, match=r"^sample 1 of epoch 1, iteration 1 raised .*ValueError: bad patch"):
         train(tiny_model(), tiny_data(), split_cfg())
     assert_reaped(pids)
 
@@ -526,7 +552,7 @@ def test_a_worker_that_dies_is_reported(monkeypatch):
 
     monkeypatch.setattr(training, "sample_loss", dying)
     pids = forked_pids(monkeypatch)
-    with pytest.raises(TrainingWorkerError, match="died .* epoch 0, iteration 0"):
+    with pytest.raises(WorkerError, match="died .* epoch 0, iteration 0"):
         train(tiny_model(), tiny_data(), split_cfg())
     assert_reaped(pids)
 
@@ -590,7 +616,7 @@ def test_keyboard_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
 def test_a_parent_late_to_its_wait_still_finishes(monkeypatch):
     """The worker may post step k+1 before the parent first reads its flag
     for step k; a wait for the flag to equal k then spins forever."""
-    real, calls = training._BatchWorker.wait, [0]
+    real, calls = worker.Worker.wait, [0]
 
     def late(self, *args):
         if not in_worker():
@@ -604,7 +630,7 @@ def test_a_parent_late_to_its_wait_still_finishes(monkeypatch):
 
     data, cfg = tiny_data(), split_cfg()
     one = training._train(tiny_model(), data, cfg, None, None, None, False)
-    monkeypatch.setattr(training._BatchWorker, "wait", late)
+    monkeypatch.setattr(worker.Worker, "wait", late)
     pids = forked_pids(monkeypatch)
     handler = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 20)
@@ -615,7 +641,7 @@ def test_a_parent_late_to_its_wait_still_finishes(monkeypatch):
         signal.signal(signal.SIGALRM, handler)
     assert calls[0] >= 2
     assert_same_run(one, two)
-    assert_reaped(pids)
+    assert pids == [worker._current.pid]   # the worker outlives the call
 
 
 def test_a_one_step_call_runs_in_one_process(monkeypatch):
