@@ -82,18 +82,21 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# the JSON types a config value may have, and their name, by the type of its default
+_JSON_TYPES = {dict: ((dict,), "an object"), list: ((list,), "an array"), str: ((str,), "a string"),
+               bool: ((bool,), "a boolean"), int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise UsageError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise UsageError(f"config key {where} must be an object")
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
+        kinds, name = _JSON_TYPES[type(base[key])]
+        if type(value) not in kinds:
+            raise UsageError(f"config key {where} must be {name}")
+        out[key] = _merge(base[key], value, where) if isinstance(value, dict) else value
     return out
 
 
@@ -283,11 +286,8 @@ def cmd_ablate(args) -> int:
     patch = tcfg.patch_size
     data = prepared_from_manifest_path(args.data, patch)
 
-    cells = []
-    for heads, dmodel in cfg["ablate"]["grid"]:
-        for pe in cfg["ablate"]["pe_modes"]:
-            cells.append((int(heads), int(dmodel), pe))
-
+    sweep = cfg["ablate"]
+    cells = [(int(heads), int(dmodel), pe) for heads, dmodel in sweep["grid"] for pe in sweep["pe_modes"]]
     results = []
     for heads, dmodel, pe in cells:
         cell_name = f"h{heads}_d{dmodel}_pe-{pe}"
@@ -297,9 +297,7 @@ def cmd_ablate(args) -> int:
             print(f"{cell_name}: cached")
             continue
         run_cfg = copy.deepcopy(cfg)
-        run_cfg["model"]["heads"] = heads
-        run_cfg["model"]["dmodel"] = dmodel
-        run_cfg["model"]["pe"] = pe
+        run_cfg["model"].update(heads=heads, dmodel=dmodel, pe=pe)
         model_cfg = _model_config_from(run_cfg, patch, data.num_classes)
         model = build_model(model_cfg, Rng(cfg["seed"]))
         train(model, data, tcfg)

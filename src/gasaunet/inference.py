@@ -138,12 +138,10 @@ def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowCon
     passes 4-7 while this one computes passes 0-3, both with one BLAS
     thread, and the two sums are added in the same tree order: the result
     is bitwise the one-process result, for a model whose output depends on
-    its input alone. The worker takes the current parameters of a bound
-    GasaUNet.predict_logits on every call. It keeps its forked copy of any
-    other callable across calls with that same object, and forks afresh
-    only after train() stepped a model without it: such a callable, and
-    whatever it holds, must not change between calls in any other way
-    (gasaunet.worker); pass a new callable or call worker.close() first.
+    its input alone. The worker keeps its copy of the callable across calls
+    with that same object and gives every GasaUNet it holds the current
+    parameters on every call; gasaunet.worker states that rule and what it
+    does not cover.
     """
     return _tta_mirror(model, volume, swc, worker.usable())
 
@@ -153,7 +151,7 @@ def _tta_mirror(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, sp
     if not split:
         return _mirror_sum(model, volume, swc, range(8)) / len(_FLIP_AXES)
     with worker.section([model]) as pair:
-        pair.submit(_far_passes, pair.share(model), volume, swc)
+        pair.submit(_far_passes, pair.key(model), volume, swc)
         near = _mirror_sum(model, volume, swc, range(4))
         far = pair.result()
     return (near + far) / len(_FLIP_AXES)
@@ -162,9 +160,8 @@ def _tta_mirror(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, sp
 def predict_probs(model: ModelFn | Sequence[ModelFn], volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
     """Probability map from one model, or the mean over an ensemble of them.
     With mirror TTA in two processes, the worker is registered for every
-    member at once, so the members do not restart it in turn. A member that
-    is not a bound GasaUNet.predict_logits must not change between calls
-    (see tta_mirror_predict)."""
+    member at once, so the members do not restart it in turn, and every
+    GasaUNet a member holds gets the current parameters on every call."""
     models = model if isinstance(model, (list, tuple)) else [model]
     predict = tta_mirror_predict if swc.tta_mirror else sliding_window_predict
     ensemble = swc.tta_mirror and len(models) > 1 and worker.usable()

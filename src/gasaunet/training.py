@@ -195,7 +195,8 @@ def _int_list(path, table, key: str, where: str = "header") -> list[int]:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint of version 1 or 2; a version 2 header whose CRC-32
     differs from the stored one, a header field that is missing or
-    mistyped, a truncated payload, a non-finite tensor or a payload whose
+    mistyped, a tensor name that does not start with `p.` or `m.` or is
+    stored twice, a truncated payload, a non-finite tensor or a payload whose
     CRC-32 differs from the header's `payload_crc32` raises VersionMismatch
     naming the file and the field or tensor. Version 1 files have no
     header CRC-32, and those written before the payload checksum existed
@@ -233,10 +234,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=start).reshape(shape).copy()
         if not np.isfinite(arr).all():
             raise VersionMismatch(f"{path}: tensor {name} holds non-finite values")
-        if name.startswith("p."):
-            params[name[2:]] = arr
-        else:
-            momentum[name[2:]] = arr
+        table = {"p.": params, "m.": momentum}.get(name[:2])
+        if table is None or name[2:] in table:
+            why = "is stored twice" if table is not None else "starts with neither 'p.' nor 'm.'"
+            raise VersionMismatch(f"{path}: checkpoint {where} names tensor {name!r}, which {why}")
+        table[name[2:]] = arr
     if "payload_crc32" in header:
         crc = _header_field(path, header, "payload_crc32", int)
         if zlib.crc32(payload) != crc:
@@ -266,13 +268,13 @@ def eval_fingerprint(ckpt: Checkpoint, path: str | Path) -> tuple[tuple[int, ...
     patch = _int_list(path, extra, "patch_size", "extra")
     stats = _header_field(path, extra, "stats", dict, "extra")
     spacing = _header_field(path, extra, "spacing", list, "extra")
-    stat_keys = ("p_lo", "p_hi", "mean", "std")
     if len(patch) != 3 or 0 in patch:
         raise VersionMismatch(f"{path}: checkpoint extra field 'patch_size' must hold 3 positive integers")
-    if not all(type(stats.get(k)) in (int, float) for k in stat_keys):
-        raise VersionMismatch(f"{path}: checkpoint extra field 'stats' must hold numbers {', '.join(stat_keys)}")
-    if len(spacing) != 3 or not all(type(v) in (int, float) and v > 0 for v in spacing):
-        raise VersionMismatch(f"{path}: checkpoint extra field 'spacing' must hold 3 positive numbers")
+    finite = lambda v: type(v) in (int, float) and math.isfinite(v)  # noqa: E731
+    if not all(finite(stats.get(k)) for k in ("p_lo", "p_hi", "mean", "std")) or stats["std"] <= 0:
+        raise VersionMismatch(f"{path}: checkpoint extra field 'stats' must hold finite p_lo, p_hi, mean and std > 0")
+    if len(spacing) != 3 or not all(finite(v) and v > 0 for v in spacing):
+        raise VersionMismatch(f"{path}: checkpoint extra field 'spacing' must hold 3 finite positive numbers")
     return tuple(patch), NormStats.from_dict(stats), tuple(float(v) for v in spacing)
 
 
@@ -476,9 +478,9 @@ def _worker_steps(pair: worker.Worker, model_key: int, data_key: int, cfg: Train
     `epochs` on samples `samples`, from the parameters and momentum the
     parent shared. It takes every optimizer step, so its copy of the model
     ends where the parent's does."""
-    model = pair.take(model_key)
-    _step_loop(model, pair.take(data_key), cfg, pair.momentum(model_key), Rng.from_state(rng_state), epochs, None,
-               samples, pair)
+    momentum = {name: v.copy() for name, v in pair.moms}
+    _step_loop(pair.objects[model_key], pair.objects[data_key], cfg, momentum, Rng.from_state(rng_state), epochs,
+               None, samples, pair)
 
 
 def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray], rng: Rng,
@@ -529,8 +531,6 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
                 name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
                 raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
             sgd_nesterov_step(named, momentum, lr, cfg.momentum)
-            if pair is None:
-                worker.serial_steps += 1
             losses.append(loss_value)
         entry = {"epoch": epoch, "lr": lr, "loss": float(np.mean(losses)), "seconds": time.perf_counter() - t0}
         log.append(entry)
@@ -563,8 +563,9 @@ def train(
     runs the same steps on samples [ceil(batch/2), batch) of each while this
     process runs them on the others, both with one BLAS thread; the result
     is bitwise the same. The worker outlives the call and serves later
-    calls with the same model, data and batch (the data must not change in
-    place between them); one that fails or dies raises WorkerError.
+    calls with the same model, data and batch; on every call it loads the
+    model's current parameters and momentum, but the data must not change in
+    place between them. A worker that fails or dies raises WorkerError.
     A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
     gradient, naming the first such parameter, both before the optimizer
     step; resume momentum that does not match the model's parameters by
@@ -616,8 +617,8 @@ def _train(
         if split and len(epochs) * cfg.iters_per_epoch >= 2:
             half = (cfg.batch + 1) // 2
             with worker.section([model, data], cfg.batch) as pair:
-                pair.submit(_worker_steps, pair.share(model, momentum), pair.share(data), cfg, rng.state, epochs,
-                            range(half, cfg.batch))
+                pair.submit(_worker_steps, pair.key(model), pair.key(data), cfg, rng.state, epochs,
+                            range(half, cfg.batch), momentum=momentum)
                 rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
                 pair.result()
         else:

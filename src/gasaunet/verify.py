@@ -138,7 +138,7 @@ def check_gradients(perturb: bool = False) -> dict:
         ad = p0.grad.reshape(-1)
         ad[0] += 0.05 * (1.0 + abs(ad[0]))
         fd = fd_grad(f, p0).reshape(-1)
-        err = float(np.max(np.abs(ad - fd) / (np.maximum(np.abs(ad), np.abs(fd)) + 1e-6)))
+        err = max_rel_err(ad, fd)
         result = {"passed": err <= 1e-3, "max_rel_err": err, "worst_param": name0}
     else:
         result = gradcheck(f, params)
@@ -412,22 +412,34 @@ def check_training_processes(seed: int = 5) -> dict:
 def check_tta_processes(seed: int = 5) -> dict:
     """Mirror TTA of the default 16^3 model on a random 20^3 volume (8
     tiles per pass), computed in this process and again with passes 4-7 in
-    the worker process: the probability maps must be bitwise equal. `path`
-    says which way tta_mirror_predict itself runs here; where this process
-    cannot run a worker (worker.usable), both runs stay in this process."""
+    the worker process: the probability maps must be bitwise equal, for the
+    bound predict_logits, for a closure over the model, and for that closure
+    again after an in-place optimizer step on the model, which the same
+    worker must see. `path` says which way tta_mirror_predict itself runs
+    here; where this process cannot run a worker (worker.usable), both runs
+    stay in this process."""
     from . import inference, worker
     from .backbone import build_model, make_backbone_config
+    from .training import sgd_nesterov_step
 
     rng = Rng(seed)
     model = build_model(make_backbone_config(1, 3, (16, 16, 16)), rng)
     volume = rng.normal_array(20 ** 3).reshape(1, 20, 20, 20)
     swc = inference.SlidingWindowConfig(patch_size=(16, 16, 16), tta_mirror=True)
     two = worker.usable()
-    one_probs, two_probs = (inference._tta_mirror(model.predict_logits, volume, swc, split) for split in (False, two))
+    same = lambda fn: _same_bits(*(inference._tta_mirror(fn, volume, swc, s) for s in (False, two)))  # noqa: E731
+    closure = lambda x: model.predict_logits(x)  # noqa: E731
+    same_bits = {"predict_logits": same(model.predict_logits), "closure": same(closure)}
+    named = list(model.named_params())
+    for _, p in named:
+        p.grad = rng.normal_array(p.size).reshape(p.shape)
+    sgd_nesterov_step(named, {name: np.zeros_like(p.data) for name, p in named}, 0.01, 0.99)
+    same_bits["closure after an in-place step"] = same(closure)
     return {
         "name": "tta_processes",
-        "passed": _same_bits(one_probs, two_probs),
+        "passed": all(same_bits.values()),
         "path": "two processes" if two else "one process",
+        "same_bits": same_bits,
     }
 
 

@@ -8,22 +8,23 @@ on its copies of the objects the job names:
 - mirror passes 4-7 of one volume (inference._far_passes), whose sum it
   sends back.
 
-Lifetime and reuse. When the worker is forked, the objects of that call are
-registered with it: the GasaUNet and PreparedData of a train() call, the
-model callables of a TTA call. A bound predict_logits counts as its
-GasaUNet; any other callable counts as itself, compared with `is`, and the
-registry keeps it alive so its id cannot be reused. A later call reuses the
-worker only if every object it names is registered, and a train() call also
-needs the batch that the worker's train() call sized the mapping for. A
-call that names any other object reaps the worker and forks a fresh one; so
-does a TTA call with a callable that is not a GasaUNet after an optimizer
-step that train() took without the worker (`serial_steps`). On every job
-the parent copies the parameters (and, for training, the momentum) of each
-GasaUNet the job names into the mapping, so a model that was resumed,
-reloaded or trained elsewhere is never served stale. Nothing else of a
-forked copy is refreshed: a callable that is not a bound predict_logits, and
-the data of a train() call, must not change in place between the calls that
-reuse the worker in any other way; pass a new object, or call `close()`.
+Reuse. The fork registers the objects of its call: the GasaUNet and
+PreparedData of a train() call, the model callables of a TTA call (a bound
+predict_logits counts as its GasaUNet, any other object as itself, by `is`).
+The worker holds the GasaUNets they reach: each one named, the `__self__` of
+a bound method, and those among a Python function's closure cells and the
+globals it names. A later call reuses the worker if every object it names is
+registered and reaches the same models, and a train() call if its batch is
+the one the mapping was sized for; any other call forks a fresh worker. The
+registry keeps all of them alive, so no id is reused.
+
+The one rule: on every job, every GasaUNet that the worker holds gets the
+parent's current parameters (and a train() job's model its momentum),
+copied through the mapping. Nothing else of a forked copy is refreshed: a
+model reached only through another object (a callable object's attribute, a
+closure inside a closure, a functools.partial) and the data of a train()
+call must not change in place between calls; pass a new object, or call
+`close()`.
 
 Between jobs the worker blocks on a pipe, using no CPU; it exits on EOF,
 which it reads when the parent dies, and it ignores SIGINT. `close()` reaps
@@ -44,6 +45,7 @@ import atexit
 import contextlib
 import ctypes
 import functools
+import inspect
 import mmap
 import os
 import pickle
@@ -65,10 +67,6 @@ _SLOTS = 4
 _ERROR_ROOM = 1 << 16
 _NOTE_ROOM = 256
 _SPINS_PER_CHECK = 1 << 14
-
-# Optimizer steps this process took in train() without the worker;
-# training's one-process path bumps it.
-serial_steps = 0
 
 _current: Worker | None = None
 
@@ -122,35 +120,43 @@ def _stands_for(obj):
     return obj
 
 
+def _held(obj) -> tuple:
+    """The GasaUNets a registered object reaches (see the module docstring)."""
+    if inspect.isfunction(obj):
+        found = inspect.getclosurevars(obj)
+        reached = [*found.nonlocals.values(), *found.globals.values()]
+    else:
+        reached = [obj.__self__ if inspect.ismethod(obj) else obj]
+    return tuple(m for m in reached if isinstance(m, GasaUNet))
+
+
 class Worker:
     """The forked worker and the anonymous mapping it shares with the parent.
 
-    The mapping holds the int64 slots; a parameter region and a momentum
-    region per registered GasaUNet; for a train() call (batch > 0), which
-    names one model, two sets of step buffers (for odd and for even steps),
-    each one gradient row and one loss per sample of the batch; then room
-    for the worker's error message and its note.
+    The mapping holds the int64 slots; a parameter region per held GasaUNet;
+    for a train() call (batch > 0), the model's momentum region and two sets
+    of step buffers (for odd and for even steps), each one gradient row and
+    one loss per sample of the batch; then room for the worker's error
+    message and its note.
     """
 
     def __init__(self, objects: list, batch: int):
         self.objects = {id(o): o for o in objects}
+        self.held = {id(o): _held(o) for o in objects}
         self.batch = batch
-        self.serial_steps = serial_steps
-        models = [o for o in objects if isinstance(o, GasaUNet)]
-        named = [list(m.named_params()) for m in models]
-        sizes = [sum(p.size for _, p in params) for params in named]
-        n = sizes[0] if batch else 0
-        floats = 2 * sum(sizes) + 2 * batch * (n + 1)
+        models = list({id(m): m for held in self.held.values() for m in held}.values())
+        named = [pair for m in models for pair in m.named_params()]   # of every held model
+        size = sum(p.size for _, p in named)
+        own = list(models[0].named_params()) if batch else []   # of the model a train() call steps
+        n = sum(p.size for _, p in own)
+        floats = size + n + 2 * batch * (n + 1)
         self._map = mmap.mmap(-1, 8 * (_SLOTS + floats) + _ERROR_ROOM + _NOTE_ROOM)
         self.flags = np.frombuffer(self._map, np.int64, _SLOTS)
         flat = np.frombuffer(self._map, np.float64, floats, 8 * _SLOTS)
-        self.state, at = {}, 0
-        for m, params, size in zip(models, named, sizes):
-            region = flat[at : at + 2 * size]
-            self.state[id(m)] = (params, views(region[:size], params), views(region[size:], params))
-            at += 2 * size
-        sets = flat[at:].reshape(2, batch * (n + 1))
-        self.rows = [[views(row, named[0]) for row in rows.reshape(batch, n)] for rows in sets[:, : batch * n]]
+        self.params = list(zip((p for _, p in named), views(flat[:size], named)))   # (parameter, its region)
+        self.moms = list(zip((name for name, _ in own), views(flat[size : size + n], own)))
+        sets = flat[size + n :].reshape(2, batch * (n + 1))
+        self.rows = [[views(row, own) for row in rows.reshape(batch, n)] for rows in sets[:, : batch * n]]
         self.losses = sets[:, batch * n :]
         text = 8 * (_SLOTS + floats)
         self.error = np.frombuffer(self._map, np.uint8, _ERROR_ROOM, text)
@@ -195,32 +201,30 @@ class Worker:
         """Whether a call naming `objects` (already mapped by _stands_for)
         with this batch (0 for TTA) may use this worker; see the module
         docstring. Reaps a worker that has exited."""
-        stale = batch == 0 and serial_steps != self.serial_steps and any(not isinstance(o, GasaUNet) for o in objects)
-        if stale or (batch and batch != self.batch) or any(self.objects.get(id(o)) is not o for o in objects):
+        known = all(self.objects.get(id(o)) is o and _held(o) == self.held[id(o)] for o in objects)
+        if not known or (batch and batch != self.batch):
             return False
         if os.waitpid(self.pid, os.WNOHANG)[0]:
             self.pid = None
             return False
         return True
 
-    def share(self, obj, momentum: dict[str, np.ndarray] | None = None) -> int:
-        """The key under which the worker finds `obj`. For a GasaUNet (or
-        its bound predict_logits) this copies its parameters, and
-        `momentum` if given, into the mapping for the worker to take."""
-        obj = _stands_for(obj)
-        if isinstance(obj, GasaUNet):
-            named, params, moms = self.state[id(obj)]
-            for (_, p), v in zip(named, params):
-                v[...] = p.data
-            if momentum is not None:
-                for (name, _), v in zip(named, moms):
-                    v[...] = momentum[name]
-        return id(obj)
+    @staticmethod
+    def key(obj) -> int:
+        """The key under which the worker finds `obj` in `objects`."""
+        return id(_stands_for(obj))
 
-    def submit(self, fn, *args) -> None:
+    def submit(self, fn, *args, momentum: dict[str, np.ndarray] | None = None) -> None:
         """Start fn(worker, *args) in the worker; `result` returns what it
         returns. fn must be a module-level function (it is pickled by
-        name); objects go as keys from `share`."""
+        name); objects go as keys. Copies the parameters of every held
+        model, and `momentum` if given (that of a train() job's model), into
+        the mapping, for the worker to load before it runs fn."""
+        for p, v in self.params:
+            v[...] = p.data
+        if momentum is not None:
+            for name, v in self.moms:
+                v[...] = momentum[name]
         self.flags[_PARENT_STEP] = self.flags[_WORKER_STEP] = 0
         self.flags[_NOTE_BYTES] = 0
         try:
@@ -291,24 +295,9 @@ class Worker:
             self.note_room[: len(data)] = np.frombuffer(data, np.uint8)
             self.flags[_NOTE_BYTES] = len(data)
 
-    def take(self, key: int):
-        """The worker's copy of a registered object; a GasaUNet first takes
-        the parameters the parent shared."""
-        obj = self.objects[key]
-        if isinstance(obj, GasaUNet):
-            named, params, _ = self.state[key]
-            for (_, p), v in zip(named, params):
-                p.data[...] = v
-        return obj
-
-    def momentum(self, key: int) -> dict[str, np.ndarray]:
-        """A copy of the momentum the parent shared with a train() job."""
-        named, _, moms = self.state[key]
-        return {name: v.copy() for (name, _), v in zip(named, moms)}
-
     def model_fn(self, key: int):
-        """The model callable a TTA job names, with current parameters."""
-        obj = self.take(key)
+        """The model callable a TTA job names."""
+        obj = self.objects[key]
         return obj.predict_logits if isinstance(obj, GasaUNet) else obj
 
     def _serve(self, jobs, replies) -> None:
@@ -325,6 +314,8 @@ class Worker:
                 except EOFError:
                     code = 0
                     break
+                for p, v in self.params:
+                    p.data[...] = v
                 pickle.dump(fn(self, *args), replies, pickle.HIGHEST_PROTOCOL)
                 replies.flush()
         except BaseException as exc:

@@ -120,6 +120,31 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["train", "--print-config", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"train": {"batch": "2"}}, "train.batch must be an integer"),
+    ({"train": {"batch": 2.0}}, "train.batch must be an integer"),
+    ({"train": {"batch": True}}, "train.batch must be an integer"),
+    ({"train": {"lr0": False}}, "train.lr0 must be a number"),
+    ({"model": {"gasa": 1}}, "model.gasa must be a boolean"),
+    ({"model": {"stage_channels": 8}}, "model.stage_channels must be an array"),
+    ({"eval": {"hec": None}}, "eval.hec must be a string"),
+    ({"phantom": 3}, "phantom must be an object"),
+])
+def test_config_value_of_another_json_type_rejected(tmp_path, capsys, override, message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(override))
+    assert run(["train", "--print-config", "--config", str(cfg_path)]) == 1
+    assert f"usage error: config key {message}\n" in capsys.readouterr().err
+
+
+def test_config_integer_where_the_default_is_a_number_accepted(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {"lr0": 1}, "model": {"dropout": 0}}))
+    assert run(["train", "--print-config", "--config", str(cfg_path)]) == 0
+    cfg = json.loads(capsys.readouterr().out)
+    assert cfg["train"]["lr0"] == 1 and cfg["model"]["dropout"] == 0
+
+
 def test_usage_errors_exit_1():
     assert run(["train"]) == 1
     assert run(["eval", "--data", "somewhere"]) == 1
@@ -167,6 +192,12 @@ def test_eval_checkpoint_with_a_shape_too_large_for_int64_exits_2(tmp_path, caps
     ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0, "p_hi": 1.0, "mean": 0.0, "std": 1.0}}, "spacing"),
     ({"patch_size": [8, 8], "stats": {}, "spacing": [1.0, 1.0, 1.0]}, "patch_size"),
     ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0}, "spacing": [1.0, 1.0, 1.0]}, "stats"),
+    ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0, "p_hi": 1.0, "mean": float("nan"), "std": 1.0},
+      "spacing": [1.0, 1.0, 1.0]}, "stats"),
+    ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0, "p_hi": 1.0, "mean": 0.0, "std": 0},
+      "spacing": [1.0, 1.0, 1.0]}, "stats"),
+    ({"patch_size": [8, 8, 8], "stats": {"p_lo": 0.0, "p_hi": 1.0, "mean": 0.0, "std": 1.0},
+      "spacing": [1.0, float("inf"), 1.0]}, "spacing"),
 ])
 def test_eval_checkpoint_without_training_fingerprint_exits_2(tmp_path, capsys, extra, field):
     cfg = make_backbone_config(1, 3, (8, 8, 8), stage_channels=(2, 4, 8), d_model=2, heads=1)
@@ -175,6 +206,27 @@ def test_eval_checkpoint_without_training_fingerprint_exits_2(tmp_path, capsys, 
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and f"extra field {field!r}" in err
+
+
+@pytest.mark.parametrize("entry, name, why", [
+    (0, "x.enc0.0.w", "starts with neither 'p.' nor 'm.'"),
+    (1, "p.enc0.0.w", "is stored twice"),
+])
+def test_eval_checkpoint_with_a_bad_tensor_name_exits_2(tmp_path, capsys, entry, name, why):
+    cfg = make_backbone_config(1, 3, (8, 8, 8), stage_channels=(2, 4, 8), d_model=2, heads=1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(cfg, Rng(0)), {}, 0, Rng(0)), ckpt)
+    raw = ckpt.read_bytes()
+    start = len(CKPT_MAGIC) + 16
+    _, hlen = struct.unpack_from("<IQ", raw, len(CKPT_MAGIC))
+    header = json.loads(raw[start : start + hlen])
+    header["tensors"][entry]["name"] = name
+    blob = json.dumps(header).encode()
+    prefix = struct.pack("<IQI", CKPT_VERSION, len(blob), zlib.crc32(blob))
+    ckpt.write_bytes(CKPT_MAGIC + prefix + blob + raw[start + hlen :])
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: checkpoint tensor table entry {entry} names tensor {name!r}, which {why}" in err
 
 
 @pytest.mark.parametrize("field, change", [

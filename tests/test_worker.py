@@ -148,6 +148,58 @@ def test_a_callable_is_refreshed_after_an_optimizer_step_the_worker_did_not_take
     training.train(model, data, training.TrainConfig(epochs=2, iters_per_epoch=2, batch=1, patch_size=(8, 8, 8)))
     assert worker_pid() == pid   # a batch-1 call does not use the worker
     got = inference.tta_mirror_predict(fn, vol, SWC)
+    assert worker_pid() == pid
+    assert got.tobytes() == serial_tta(fn, vol).tobytes()
+
+
+_global_model = None
+
+
+def _predict_with_global_model(x):
+    return _global_model.predict_logits(x)
+
+
+@two_processes
+@pytest.mark.parametrize("change", ["optimizer step", "parameter copy"])
+@pytest.mark.parametrize("reach", ["closure cell", "module global", "bound method"])
+def test_every_model_the_worker_holds_is_refreshed_on_every_call(monkeypatch, reach, change):
+    """A model changed in place between two calls, outside train() and
+    outside the worker, is served with its new parameters by the same
+    worker."""
+    model, vol = tiny_model(), volume()
+    monkeypatch.setitem(globals(), "_global_model", model)
+    fn = {
+        "closure cell": lambda x: model.predict_logits(x),
+        "module global": _predict_with_global_model,
+        "bound method": model.predict_logits,
+    }[reach]
+    before = inference.tta_mirror_predict(fn, vol, SWC)
+    pid = worker_pid()
+    named = list(model.named_params())
+    if change == "optimizer step":
+        for _, p in named:
+            p.grad = np.full_like(p.data, 0.5)
+        training.sgd_nesterov_step(named, {name: np.zeros_like(p.data) for name, p in named}, 0.1, 0.9)
+    else:
+        for (_, p), (_, other) in zip(named, tiny_model(2).named_params()):
+            p.data[...] = other.data
+    got = inference.tta_mirror_predict(fn, vol, SWC)
+    assert worker_pid() == pid
+    assert got.tobytes() != before.tobytes()
+    assert got.tobytes() == serial_tta(fn, vol).tobytes()
+
+
+@two_processes
+def test_a_callable_that_now_reaches_another_model_forks_a_fresh_worker():
+    model, vol = tiny_model(1), volume()
+
+    def fn(x):
+        return model.predict_logits(x)
+
+    inference.tta_mirror_predict(fn, vol, SWC)
+    pid = worker_pid()
+    model = tiny_model(2)
+    got = inference.tta_mirror_predict(fn, vol, SWC)
     assert worker_pid() not in (None, pid)
     assert got.tobytes() == serial_tta(fn, vol).tobytes()
 
