@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,11 +94,27 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise UsageError(f"unknown config key: {where}")
-        kinds, name = _JSON_TYPES[type(base[key])]
-        if type(value) not in kinds:
-            raise UsageError(f"config key {where} must be {name}")
-        out[key] = _merge(base[key], value, where) if isinstance(value, dict) else value
+        out[key] = _checked(value, base[key], where)
     return out
+
+
+def _checked(value, default, where: str, element: bool = False):
+    """`value` if it has the JSON type of `default`, else UsageError naming
+    `where`. An object is merged into the default, a number must be finite,
+    and each element of an array has the type of the default's first (an
+    array element its length too)."""
+    kinds, name = _JSON_TYPES[type(default)]
+    if type(value) not in kinds:
+        raise UsageError(f"config key {where} must be {name}")
+    if type(value) is float and not math.isfinite(value):
+        raise UsageError(f"config key {where} must be a finite number")
+    if isinstance(value, dict):
+        return _merge(default, value, where)
+    if isinstance(value, list) and element and len(value) != len(default):
+        raise UsageError(f"config key {where} must be an array of {len(default)} elements")
+    if isinstance(value, list) and default:
+        return [_checked(v, default[0], f"{where}[{i}]", True) for i, v in enumerate(value)]
+    return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -287,7 +304,7 @@ def cmd_ablate(args) -> int:
     data = prepared_from_manifest_path(args.data, patch)
 
     sweep = cfg["ablate"]
-    cells = [(int(heads), int(dmodel), pe) for heads, dmodel in sweep["grid"] for pe in sweep["pe_modes"]]
+    cells = [(heads, dmodel, pe) for heads, dmodel in sweep["grid"] for pe in sweep["pe_modes"]]
     results = []
     for heads, dmodel, pe in cells:
         cell_name = f"h{heads}_d{dmodel}_pe-{pe}"

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import worker
-from .errors import ShapeMismatch
+from .errors import InvalidSpacing, ShapeMismatch
 from .tensor import keep_heap_resident, softmax_array
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
@@ -187,7 +187,8 @@ def evaluate_split(
     per-model softmax outputs are averaged (checkpoint ensembling).
     Predictions are resampled from the processing grid to each case's
     original spacing and shape before Dice and NSD are computed against the
-    untouched labels.
+    untouched labels. A tolerance `tau` that is not >= 0, NaN included,
+    raises InvalidSpacing before any prediction.
     Every tile rebuilds buffers of the same shapes, so the first call sets
     the process's allocator to keep freed memory (tensor.keep_heap_resident):
     from then on the process's resident memory stays at its peak.
@@ -197,6 +198,8 @@ def evaluate_split(
 
     if not data.test:
         raise ValueError("no held-out cases to evaluate")
+    if not tau >= 0:   # a NaN tolerance too, before any prediction
+        raise InvalidSpacing(f"tolerance must be >= 0, got {tau}")
     keep_heap_resident()
     cases = []
     for case in data.test:

@@ -115,7 +115,7 @@ def nsd(
     sp = np.asarray(spacing, dtype=np.float64)
     if sp.shape != (3,) or np.any(sp <= 0):
         raise InvalidSpacing(f"spacing must be 3 positive floats, got {spacing}")
-    if tau < 0:
+    if not tau >= 0:   # a NaN tolerance too
         raise InvalidSpacing(f"tolerance must be >= 0, got {tau}")
     pm, gm = _binary_masks(pred, gt, class_ids)
     if not pm.any() and not gm.any():

@@ -427,6 +427,12 @@ def _backprop_sample(model: GasaUNet, data: PreparedData, cfg: TrainConfig, rng:
     return loss.item()
 
 
+def _views(flat: np.ndarray, named: list) -> list[np.ndarray]:
+    """One view of `flat` per (name, parameter), shaped like it, in order."""
+    ends = np.cumsum([p.size for _, p in named])
+    return [flat[end - p.size : end].reshape(p.shape) for end, (_, p) in zip(ends, named)]
+
+
 def _sum_grads(samples: list[list[np.ndarray | None]], views: list[np.ndarray]) -> None:
     """Each view <- its parameter's gradients summed over the samples, in
     sample order; a missing gradient counts as 0."""
@@ -448,37 +454,42 @@ def _split_batch(batch: int) -> bool:
     return batch >= 2 and worker.usable()
 
 
+def _step_floats(model: GasaUNet, batch: int) -> int:
+    """The float64s of a two-process train() call's buffer sets, for odd and
+    even steps: each [batch, n + 1], a sample's n gradients and its loss."""
+    return 2 * batch * (sum(p.size for _, p in model.named_params()) + 1)
+
+
 def _exchange(pair: worker.Worker, step: int, samples: range, grads: list[list[np.ndarray | None]],
-              losses: list[float], out: list[np.ndarray], params: list[Tensor]) -> Tensor:
+              losses: list[float], out: list[np.ndarray], params: list[Tensor], rows: list[list[np.ndarray]],
+              row_losses: np.ndarray) -> Tensor:
     """A node standing for the other process's samples of `step`. Its
     backward copies this process's sample gradients and losses into their
-    rows of the step's buffer set, posts the step, waits for the other
-    process and sums every row into `out` in sample order, so both
-    processes get the same bits. Flags only grow, and the other process is
-    at most one step ahead: before it writes a set for step k it has seen
-    this one post step k-1, which this one does only after it has read step
-    k-2, the set's previous use. Waiting in a backward pass keeps the wait
-    inside the span that an outside tracer gives backward()."""
-    k = step % 2
+    `rows` and `row_losses` of the step's buffer set, posts the step, waits
+    for the other process and sums every row into `out` in sample order, so
+    both processes get the same bits. Flags only grow, and the other
+    process is at most one step ahead: before it writes a set for step k it
+    has seen this one post step k-1, which this one does only after it has
+    read step k-2, the set's previous use. Waiting in a backward pass keeps
+    the wait inside the span that an outside tracer gives backward()."""
 
     def bw(_g):
         for i, g in zip(samples, grads):
-            _sum_grads([g], pair.rows[k][i])
-        pair.losses[k, samples.start : samples.stop] = losses
+            _sum_grads([g], rows[i])
+        row_losses[samples.start : samples.stop] = losses
         pair.post(step)
         pair.wait(step)
-        _sum_grads(pair.rows[k], out)
+        _sum_grads(rows, out)
 
     return T._node(np.zeros(()), params, bw)
 
 
 def _worker_steps(pair: worker.Worker, model_key: int, data_key: int, cfg: TrainConfig, rng_state: tuple[int, int],
-                  epochs: range, samples: range) -> None:
+                  epochs: range, samples: range, momentum: dict[str, np.ndarray]) -> None:
     """The worker's side of a two-process train() call: every step of
-    `epochs` on samples `samples`, from the parameters and momentum the
-    parent shared. It takes every optimizer step, so its copy of the model
+    `epochs` on samples `samples`, from the parameters and the momentum the
+    parent sent. It takes every optimizer step, so its copy of the model
     ends where the parent's does."""
-    momentum = {name: v.copy() for name, v in pair.moms}
     _step_loop(pair.objects[model_key], pair.objects[data_key], cfg, momentum, Rng.from_state(rng_state), epochs,
                None, samples, pair)
 
@@ -494,7 +505,11 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
     draws = _sample_draws(model.cfg)
     weight = Tensor(1.0 / cfg.batch)
     grads = np.empty(sum(p.size for _, p in named))
-    grad_views = worker.views(grads, named)
+    grad_views = _views(grads, named)
+    if pair is not None:   # pair.shared as [2, batch, n + 1] (see _step_floats)
+        sets = pair.shared.reshape(2, cfg.batch, -1)
+        rows = [[_views(row, named) for row in part] for part in sets]
+        row_losses = sets[:, :, -1]
     log: list[dict] = []
     step = 0
     for epoch in epochs:
@@ -516,8 +531,10 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
                 _sum_grads(own, grad_views)
             else:
                 pair.note(f"epoch {epoch}, iteration {it}")
-                _exchange(pair, step, samples, own, sample_losses, grad_views, params).backward()
-                sample_losses = pair.losses[step % 2].tolist()
+                k = step % 2
+                _exchange(pair, step, samples, own, sample_losses, grad_views, params, rows[k],
+                          row_losses[k]).backward()
+                sample_losses = row_losses[k].tolist()
             for p, g in zip(params, grad_views):
                 p.grad = g
             rng = Rng(rng.seed, start + cfg.batch * draws)
@@ -616,9 +633,9 @@ def _train(
     try:
         if split and len(epochs) * cfg.iters_per_epoch >= 2:
             half = (cfg.batch + 1) // 2
-            with worker.section([model, data], cfg.batch) as pair:
+            with worker.section([model, data], _step_floats(model, cfg.batch)) as pair:
                 pair.submit(_worker_steps, pair.key(model), pair.key(data), cfg, rng.state, epochs,
-                            range(half, cfg.batch), momentum=momentum)
+                            range(half, cfg.batch), momentum)
                 rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
                 pair.result()
         else:

@@ -371,12 +371,13 @@ def check_training_precision(seed: int = 5) -> dict:
 
 
 def check_training_processes(seed: int = 5) -> dict:
-    """Two train() steps of the default model at batch 2 on a random 20^3
-    case, computed in this process and again with the second sample of each
-    in the worker process (a one-step call does not use it): the loss,
-    parameters, momentum and RNG state must be bitwise equal. `path` says
-    which way train() itself runs here; where it cannot use the worker
-    (training._split_batch), both runs stay in this process."""
+    """Two train() steps of the default model on a random 20^3 case, at
+    batch 2 and at batch 3, computed in this process and again with the last
+    sample of each step in the worker process (a one-step call does not use
+    it): per batch, the loss, parameters, momentum and RNG state must be
+    bitwise equal. `path` says which way train() itself runs here; where it
+    cannot use the worker (training._split_batch), both runs stay in this
+    process."""
     from . import training
     from .backbone import build_model, make_backbone_config
     from .volume import NormStats
@@ -386,24 +387,23 @@ def check_training_processes(seed: int = 5) -> dict:
     labels = (rng.uniform_array(20 ** 3) * 3).astype(np.int64).reshape(20, 20, 20)
     case = training.PreparedCase(image, labels, labels.shape, labels, (1.0, 1.0, 1.0), labels.shape)
     data = training.PreparedData([case], [], NormStats(0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0), 3)
-    cfg = training.TrainConfig(epochs=1, iters_per_epoch=2, batch=2, patch_size=(16, 16, 16), seed=seed)
-    two = training._split_batch(cfg.batch)
-    runs = []
-    for split in (False, two):
-        model = build_model(make_backbone_config(1, 3, (16, 16, 16)), Rng(seed))
-        runs.append(training._train(model, data, cfg, None, None, None, split))
-    (one_ckpt, one_log), (two_ckpt, two_log) = runs
-    differ = [
-        name for name in one_ckpt.params
-        if not np.array_equal(one_ckpt.params[name], two_ckpt.params[name])
-        or not np.array_equal(one_ckpt.momentum[name], two_ckpt.momentum[name])
-    ]
-    same_loss = one_log[0]["loss"] == two_log[0]["loss"]
+    two = training._split_batch(2)
+    loss, same_loss, differ, same_rng = {}, {}, {}, True
+    for batch in (2, 3):
+        cfg = training.TrainConfig(epochs=1, iters_per_epoch=2, batch=batch, patch_size=(16, 16, 16), seed=seed)
+        (one, one_log), (other, other_log) = (
+            training._train(build_model(make_backbone_config(1, 3, (16, 16, 16)), Rng(seed)), data, cfg, None, None,
+                            None, split) for split in (False, two)
+        )
+        differ[batch] = [name for name in one.params if not np.array_equal(one.params[name], other.params[name])
+                         or not np.array_equal(one.momentum[name], other.momentum[name])]
+        loss[batch], same_loss[batch] = one_log[0]["loss"], one_log[0]["loss"] == other_log[0]["loss"]
+        same_rng = same_rng and one.rng_state == other.rng_state
     return {
         "name": "training_processes",
-        "passed": same_loss and not differ and one_ckpt.rng_state == two_ckpt.rng_state,
+        "passed": all(same_loss.values()) and not any(differ.values()) and same_rng,
         "path": "two processes" if two else "one process",
-        "loss": one_log[0]["loss"],
+        "loss": loss,
         "same_loss": same_loss,
         "tensors_differ": differ,
     }

@@ -4,9 +4,12 @@ The worker is forked on the first call that can use it and outlives that
 call. It takes two kinds of job, each a module-level function that it runs
 on its copies of the objects the job names:
 - samples [ceil(B/2), B) of a train() call's steps (training._worker_steps),
-  exchanging gradients with the parent through the shared mapping;
+  exchanging gradients and losses with the parent through `Worker.shared`;
 - mirror passes 4-7 of one volume (inference._far_passes), whose sum it
   sends back.
+The mapping the two share holds only the step flags, the float64s a call
+asks for (`Worker.shared`; train() lays them out) and a note of what the
+worker is doing. The rest goes through the pipes of jobs and replies.
 
 Reuse. The fork registers the objects of its call: the GasaUNet and
 PreparedData of a train() call, the model callables of a TTA call (a bound
@@ -14,25 +17,26 @@ predict_logits counts as its GasaUNet, any other object as itself, by `is`).
 The worker holds the GasaUNets they reach: each one named, the `__self__` of
 a bound method, and those among a Python function's closure cells and the
 globals it names. A later call reuses the worker if every object it names is
-registered and reaches the same models, and a train() call if its batch is
-the one the mapping was sized for; any other call forks a fresh worker. The
-registry keeps all of them alive, so no id is reused.
+registered and reaches the same models, and a call asking for shared
+float64s (train()) if the worker has that many; any other call forks a fresh
+worker. The registry keeps all of them alive, so no id is reused.
 
 The one rule: on every job, every GasaUNet that the worker holds gets the
-parent's current parameters (and a train() job's model its momentum),
-copied through the mapping. Nothing else of a forked copy is refreshed: a
-model reached only through another object (a callable object's attribute, a
-closure inside a closure, a functools.partial) and the data of a train()
-call must not change in place between calls; pass a new object, or call
-`close()`.
+parent's current parameters, whose bytes follow the pickled job down the pipe
+(a train() job passes its momentum as an argument). Nothing else of a forked
+copy is refreshed: a model reached only through another object (a callable
+object's attribute, a closure inside a closure, a functools.partial) and the
+data of a train() call must not change in place between calls; pass a new
+object, or call `close()`.
 
 Between jobs the worker blocks on a pipe, using no CPU; it exits on EOF,
 which it reads when the parent dies, and it ignores SIGINT. `close()` reaps
 it; an atexit hook calls it. Any exception inside a two-process section
-kills and reaps the worker, and a worker that raises or dies raises
-WorkerError in the parent, naming the step or mirror pass it was on.
-BLAS runs one thread in the worker for its whole life and in the parent
-inside a `section` only.
+kills and reaps the worker. A job that raises replies with a WorkerError
+naming the step or mirror pass, with the traceback as a note, and the parent
+raises it; a worker that dies raises WorkerError naming its note. BLAS runs
+one thread in the worker for its whole life and in the parent inside a
+`section` only.
 
 The worker is forked rather than spawned: it needs copies of the
 registered objects, and a callable such as a closure cannot be pickled. The
@@ -50,6 +54,7 @@ import mmap
 import os
 import pickle
 import platform
+import select
 import signal
 import traceback
 
@@ -60,11 +65,9 @@ from .backbone import GasaUNet
 from .errors import WorkerError
 
 # int64 slots at the start of the shared mapping: the last training step
-# each process posted (the worker's is -1 once it failed), and the lengths
-# of the worker's error message and of its note of what it is doing
-_PARENT_STEP, _WORKER_STEP, _ERROR_BYTES, _NOTE_BYTES = range(4)
-_SLOTS = 4
-_ERROR_ROOM = 1 << 16
+# each process posted, and the length of the worker's note of what it is doing
+_PARENT_STEP, _WORKER_STEP, _NOTE_BYTES = range(3)
+_SLOTS = 3
 _NOTE_ROOM = 256
 _SPINS_PER_CHECK = 1 << 14
 
@@ -103,15 +106,6 @@ def usable() -> bool:
     )
 
 
-def views(flat: np.ndarray, named: list) -> list[np.ndarray]:
-    """One view of `flat` per (name, parameter), shaped like it, in order."""
-    out, at = [], 0
-    for _, p in named:
-        out.append(flat[at : at + p.size].reshape(p.shape))
-        at += p.size
-    return out
-
-
 def _stands_for(obj):
     """The GasaUNet of a bound predict_logits, else the object itself."""
     owner = getattr(obj, "__self__", None)
@@ -131,36 +125,18 @@ def _held(obj) -> tuple:
 
 
 class Worker:
-    """The forked worker and the anonymous mapping it shares with the parent.
+    """The forked worker and the anonymous mapping it shares with the parent:
+    the int64 slots, `floats` float64s for the caller (`shared`), the note."""
 
-    The mapping holds the int64 slots; a parameter region per held GasaUNet;
-    for a train() call (batch > 0), the model's momentum region and two sets
-    of step buffers (for odd and for even steps), each one gradient row and
-    one loss per sample of the batch; then room for the worker's error
-    message and its note.
-    """
-
-    def __init__(self, objects: list, batch: int):
+    def __init__(self, objects: list, floats: int):
         self.objects = {id(o): o for o in objects}
         self.held = {id(o): _held(o) for o in objects}
-        self.batch = batch
-        models = list({id(m): m for held in self.held.values() for m in held}.values())
-        named = [pair for m in models for pair in m.named_params()]   # of every held model
-        size = sum(p.size for _, p in named)
-        own = list(models[0].named_params()) if batch else []   # of the model a train() call steps
-        n = sum(p.size for _, p in own)
-        floats = size + n + 2 * batch * (n + 1)
-        self._map = mmap.mmap(-1, 8 * (_SLOTS + floats) + _ERROR_ROOM + _NOTE_ROOM)
+        models = {id(m): m for held in self.held.values() for m in held}.values()
+        self.held_params = [p for m in models for _, p in m.named_params()]
+        self._map = mmap.mmap(-1, 8 * (_SLOTS + floats) + _NOTE_ROOM)
         self.flags = np.frombuffer(self._map, np.int64, _SLOTS)
-        flat = np.frombuffer(self._map, np.float64, floats, 8 * _SLOTS)
-        self.params = list(zip((p for _, p in named), views(flat[:size], named)))   # (parameter, its region)
-        self.moms = list(zip((name for name, _ in own), views(flat[size : size + n], own)))
-        sets = flat[size + n :].reshape(2, batch * (n + 1))
-        self.rows = [[views(row, own) for row in rows.reshape(batch, n)] for rows in sets[:, : batch * n]]
-        self.losses = sets[:, batch * n :]
-        text = 8 * (_SLOTS + floats)
-        self.error = np.frombuffer(self._map, np.uint8, _ERROR_ROOM, text)
-        self.note_room = np.frombuffer(self._map, np.uint8, _NOTE_ROOM, text + _ERROR_ROOM)
+        self.shared = np.frombuffer(self._map, np.float64, floats, 8 * _SLOTS)
+        self.note_room = np.frombuffer(self._map, np.uint8, _NOTE_ROOM, 8 * (_SLOTS + floats))
         self.me = 0   # this process's step flag: 0 in the parent, 1 in the worker
         self.parent = os.getpid()
         self.pid: int | None = None
@@ -173,36 +149,34 @@ class Worker:
 
     def wait(self, step: int) -> None:
         """Spin until the other process has posted `step`, checking now and
-        then that it is still there (blocking waits stalled the step). Its
-        flag may be one step further on."""
+        then that it has not failed or gone (blocking waits stalled the
+        step). Its flag may be one step further on."""
         flags, other, spins = self.flags, 1 - self.me, 0
         while flags[other] < step:
             spins += 1
-            if spins % _SPINS_PER_CHECK == 0 or flags[other] < 0:
-                self._check_other()
+            if spins % _SPINS_PER_CHECK == 0:
+                self._check_other(step)
 
-    def _check_other(self) -> None:
-        """In the parent, raise if the worker failed or died; in the
-        worker, leave if the parent is gone."""
+    def _check_other(self, step: int) -> None:
+        """In the parent, raise if the worker replied (its job raised) or
+        closed its pipe (it died) before posting `step`; in the worker,
+        leave if the parent is gone."""
         if self.me:
             if os.getppid() != self.parent:
                 os._exit(1)
             return
-        if self.flags[_WORKER_STEP] < 0:
-            self._raise_error()
-        pid, status = os.waitpid(self.pid, os.WNOHANG)
-        if pid:
-            self.pid = None
-            self._died(status)
+        replied = select.select([self._replies], [], [], 0)[0]
+        if replied and self.flags[_WORKER_STEP] < step:   # read after: a step posted before the reply counts
+            self.result()
 
     # -- the parent -------------------------------------------------------------
 
-    def serves(self, objects: list, batch: int) -> bool:
+    def serves(self, objects: list, floats: int) -> bool:
         """Whether a call naming `objects` (already mapped by _stands_for)
-        with this batch (0 for TTA) may use this worker; see the module
-        docstring. Reaps a worker that has exited."""
+        and asking for `floats` shared float64s (0 for none) may use this
+        worker; see the module docstring. Reaps a worker that has exited."""
         known = all(self.objects.get(id(o)) is o and _held(o) == self.held[id(o)] for o in objects)
-        if not known or (batch and batch != self.batch):
+        if not known or (floats and floats != self.shared.size):
             return False
         if os.waitpid(self.pid, os.WNOHANG)[0]:
             self.pid = None
@@ -214,49 +188,35 @@ class Worker:
         """The key under which the worker finds `obj` in `objects`."""
         return id(_stands_for(obj))
 
-    def submit(self, fn, *args, momentum: dict[str, np.ndarray] | None = None) -> None:
+    def submit(self, fn, *args) -> None:
         """Start fn(worker, *args) in the worker; `result` returns what it
         returns. fn must be a module-level function (it is pickled by
-        name); objects go as keys. Copies the parameters of every held
-        model, and `momentum` if given (that of a train() job's model), into
-        the mapping, for the worker to load before it runs fn."""
-        for p, v in self.params:
-            v[...] = p.data
-        if momentum is not None:
-            for name, v in self.moms:
-                v[...] = momentum[name]
-        self.flags[_PARENT_STEP] = self.flags[_WORKER_STEP] = 0
-        self.flags[_NOTE_BYTES] = 0
+        name); objects go as keys. The parameters of every held model go
+        with the job, for the worker to load before it runs fn."""
+        self.flags[:] = 0
         try:
             pickle.dump((fn, args), self._jobs, pickle.HIGHEST_PROTOCOL)
+            for p in self.held_params:   # their bytes, which the worker reads into its copies
+                self._jobs.write(p.data)
             self._jobs.flush()
-        except OSError:
-            self._wait_for_exit()
+        except OSError:   # the worker is gone
+            self._died()
 
     def result(self):
-        """Block until the worker's job returns, and return its value."""
+        """Block until the worker's job replies, and return its value; raise
+        the WorkerError of a job that raised."""
         try:
-            return pickle.load(self._replies)
+            reply = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):   # the pipe closed before or during the reply
-            self._wait_for_exit()
+            self._died()
+        if isinstance(reply, WorkerError):
+            raise reply
+        return reply
 
-    def _wait_for_exit(self):
-        """Reap a worker that closed its pipe, and raise its error."""
+    def _died(self):
+        """Reap the worker, which closed its pipes, and raise."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if self.flags[_WORKER_STEP] < 0:
-            self._raise_error()
-        self._died(status)
-
-    def _raise_error(self):
-        text = bytes(self.error[: self.flags[_ERROR_BYTES]]).decode(errors="replace")
-        message, _, trace = text.partition("\n")
-        err = WorkerError(message)
-        if hasattr(err, "add_note"):
-            err.add_note(trace)
-        raise err
-
-    def _died(self, status: int):
         doing = bytes(self.note_room[: self.flags[_NOTE_BYTES]]).decode(errors="replace")
         raise WorkerError(f"the worker died (wait status {status}) during {doing}")
 
@@ -302,8 +262,8 @@ class Worker:
 
     def _serve(self, jobs, replies) -> None:
         """The worker's life: run jobs until the parent closes the pipe or
-        dies, then leave with os._exit. A job that raises writes its error
-        to the mapping, marks the worker failed, and ends the process."""
+        dies, then leave with os._exit. A job that raises replies with its
+        WorkerError, whole, and ends the process."""
         code, self.me = 1, 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's KeyboardInterrupt reaps this process
@@ -311,36 +271,38 @@ class Worker:
             while True:
                 try:
                     fn, args = pickle.load(jobs)
+                    if any(jobs.readinto(p.data) < p.data.nbytes for p in self.held_params):
+                        raise EOFError
                 except EOFError:
                     code = 0
                     break
-                for p, v in self.params:
-                    p.data[...] = v
-                pickle.dump(fn(self, *args), replies, pickle.HIGHEST_PROTOCOL)
+                try:
+                    reply = fn(self, *args)
+                except BaseException as exc:
+                    doing = bytes(self.note_room[: self.flags[_NOTE_BYTES]]).decode(errors="replace")
+                    reply = WorkerError(f"{doing} raised in the worker: {type(exc).__name__}: {exc}")
+                    if hasattr(reply, "add_note"):
+                        reply.add_note(traceback.format_exc())
+                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
                 replies.flush()
-        except BaseException as exc:
-            doing = bytes(self.note_room[: self.flags[_NOTE_BYTES]]).decode(errors="replace")
-            text = f"{doing} raised in the worker: {type(exc).__name__}: {exc}\n"
-            data = (text + traceback.format_exc()).encode()[:_ERROR_ROOM]
-            self.error[: len(data)] = np.frombuffer(data, np.uint8)
-            self.flags[_ERROR_BYTES] = len(data)
-            self.flags[_WORKER_STEP] = -1
+                if isinstance(reply, WorkerError):
+                    break
         finally:
             os._exit(code)
 
 
 @contextlib.contextmanager
-def section(objects: list, batch: int = 0):
+def section(objects: list, floats: int = 0):
     """A two-process section: yields the worker, registered for `objects`
-    (forked now unless the current one serves them; `batch` > 0 for
-    train()), with this process's OpenBLAS at one thread, restored on exit.
-    An exception inside kills and reaps the worker. Callers check `usable()`
-    first."""
+    and sharing `floats` float64s with this process if `floats` > 0
+    (forked now unless the current one serves them), with this process's
+    OpenBLAS at one thread, restored on exit. An exception inside kills and
+    reaps the worker. Callers check `usable()` first."""
     get, put = openblas_threads()
     threads = get()
     put(1)
     try:
-        yield _acquire(objects, batch)
+        yield _acquire(objects, floats)
     except BaseException:
         close()
         raise
@@ -348,13 +310,13 @@ def section(objects: list, batch: int = 0):
         put(threads)
 
 
-def _acquire(objects: list, batch: int) -> Worker:
+def _acquire(objects: list, floats: int) -> Worker:
     global _current
     keys = list({id(k): k for k in map(_stands_for, objects)}.values())
-    if _current is not None and not _current.serves(keys, batch):
+    if _current is not None and not _current.serves(keys, floats):
         close()
     if _current is None:
-        _current = Worker(keys, batch)
+        _current = Worker(keys, floats)
     return _current
 
 

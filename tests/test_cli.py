@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from gasaunet import inference
 from gasaunet.backbone import build_model, make_backbone_config
 from gasaunet.cli import main
 from gasaunet.tensor import Rng
@@ -129,6 +130,16 @@ def test_unknown_config_key_rejected(tmp_path):
     ({"model": {"stage_channels": 8}}, "model.stage_channels must be an array"),
     ({"eval": {"hec": None}}, "eval.hec must be a string"),
     ({"phantom": 3}, "phantom must be an object"),
+    ({"model": {"stage_channels": ["a", 2]}}, "model.stage_channels[0] must be an integer"),
+    ({"model": {"stage_channels": [8, 16.0]}}, "model.stage_channels[1] must be an integer"),
+    ({"ablate": {"grid": [2]}}, "ablate.grid[0] must be an array"),
+    ({"ablate": {"grid": [[2, 10], [2, "x"]]}}, "ablate.grid[1][1] must be an integer"),
+    ({"ablate": {"grid": [[2]]}}, "ablate.grid[0] must be an array of 2 elements"),
+    ({"ablate": {"grid": [[2, 10, 3]]}}, "ablate.grid[0] must be an array of 2 elements"),
+    ({"ablate": {"pe_modes": ["none", None]}}, "ablate.pe_modes[1] must be a string"),
+    ({"train": {"lr0": float("nan")}}, "train.lr0 must be a finite number"),
+    ({"eval": {"tau": float("inf")}}, "eval.tau must be a finite number"),
+    ({"model": {"dropout": float("-inf")}}, "model.dropout must be a finite number"),
 ])
 def test_config_value_of_another_json_type_rejected(tmp_path, capsys, override, message):
     cfg_path = tmp_path / "bad.json"
@@ -324,6 +335,16 @@ def test_eval_report(trained, dataset, tmp_path):
             assert v is None or 0.0 <= v <= 100.0
     assert "organ_and_masses" in report["summary"]["dice"]
     assert "tumor" in report["summary"]["dice"]
+
+
+def test_eval_with_a_nan_tolerance_exits_2_before_any_prediction(trained, dataset, tmp_path, capsys, monkeypatch):
+    def no_prediction(*args):
+        raise AssertionError("a case was predicted")
+
+    monkeypatch.setattr(inference, "predict_labels", no_prediction)
+    argv = ["eval", "--ckpt", str(trained / "model.ckpt"), "--data", str(dataset), "--out", str(tmp_path / "eval")]
+    assert run(argv + ["--tau", "nan"]) == 2
+    assert "error: tolerance must be >= 0, got nan" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_ensemble(trained, dataset, tmp_path):

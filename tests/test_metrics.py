@@ -78,6 +78,14 @@ def test_nsd_invalid_spacing():
         nsd(a, a, [1], -1.0, (1.0, 1.0, 1.0))
 
 
+def test_nsd_rejects_a_nan_tolerance():
+    """Every distance compares false with NaN, which read as NSD 0."""
+    a = np.zeros((6, 6, 6), dtype=int)
+    a[1:4, 1:4, 1:4] = 1
+    with pytest.raises(InvalidSpacing, match="tolerance must be >= 0, got nan"):
+        nsd(a, a, [1], float("nan"), (1.0, 1.0, 1.0))
+
+
 def test_nsd_matches_brute_force_oracle():
     rng = np.random.default_rng(7)
     for _ in range(60):

@@ -19,7 +19,7 @@ from gasaunet.errors import WorkerError
 from gasaunet.inference import SlidingWindowConfig
 from gasaunet.tensor import Rng
 
-from test_training import assert_same_run, forked_pids, in_worker, split_cfg, tiny_data, tiny_model
+from test_training import assert_reaped, assert_same_run, forked_pids, in_worker, split_cfg, tiny_data, tiny_model
 
 two_processes = pytest.mark.skipif(not worker.usable(), reason="this process cannot run a worker")
 
@@ -90,10 +90,17 @@ def test_a_resumed_run_in_one_worker_is_bitwise_an_unbroken_one():
 
 
 @two_processes
-@pytest.mark.parametrize("change", ["model", "data", "callable", "larger batch", "smaller batch"])
+@pytest.mark.parametrize("change", ["model", "data", "callable", "larger batch", "smaller batch", "tta then train"])
 def test_a_call_naming_another_object_forks_a_fresh_worker(change):
     data, model, cfg = tiny_data(), tiny_model(), split_cfg()
-    if change == "callable":
+    if change == "tta then train":   # a worker forked for TTA shares no step buffers
+        inference.tta_mirror_predict(model.predict_logits, volume(), SWC)
+        pid = worker_pid()
+        training.train(model, data, cfg)
+        trained = worker_pid()
+        inference.evaluate_split(model.predict_logits, data, SWC, 1.0)
+        assert worker_pid() == trained
+    elif change == "callable":
         stub = lambda x: x[:1].repeat(2, axis=0)  # noqa: E731
         inference.tta_mirror_predict(stub, volume(), SWC)
         pid = worker_pid()
@@ -251,6 +258,33 @@ def test_an_exception_in_a_worker_pass_names_the_pass(monkeypatch):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
+
+
+@two_processes
+@pytest.mark.parametrize("job", ["mirror passes", "training steps"])
+def test_a_long_worker_failure_arrives_whole(monkeypatch, job):
+    """A reply longer than the pipe holds, read while the parent spins."""
+    text, real = "x" * 200_000, training.sample_loss
+
+    def failing(*args):
+        if in_worker():
+            raise ValueError(text)
+        return real(*args) if job == "training steps" else np.stack([args[0][0], -args[0][0]])
+
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(WorkerError) as raised:
+        if job == "mirror passes":
+            inference.tta_mirror_predict(failing, volume(), SWC)
+        else:
+            monkeypatch.setattr(training, "sample_loss", failing)
+            training.train(tiny_model(), tiny_data(), split_cfg())
+    doing = "mirror pass 4" if job == "mirror passes" else "sample 1 of epoch 0, iteration 0"
+    assert str(raised.value) == f"{doing} raised in the worker: ValueError: {text}"
+    if hasattr(raised.value, "add_note"):
+        (note,) = raised.value.__notes__
+        assert note.startswith("Traceback") and note.endswith(f"ValueError: {text}\n")
+    assert worker._current is None
+    assert_reaped(pids)
 
 
 @two_processes
