@@ -170,6 +170,11 @@ class GasaUNet:
 
         self.head_w = T.init_uniform((cfg.num_classes, ch[0], 1, 1, 1), fan_in=ch[0], rng=rng)
         self.head_b = T.zeros([cfg.num_classes], requires_grad=True)
+        T.share_memory([p for _, p in self.named_params()])   # for the worker process (gasaunet.worker)
+
+    def __setstate__(self, state):   # a deep copy or an unpickled model shares its parameters too
+        self.__dict__.update(state)
+        T.share_memory([p for _, p in self.named_params()])
 
     # -- forward -------------------------------------------------------------
 

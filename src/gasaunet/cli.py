@@ -132,7 +132,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         for section in sections:
             node = node[section]
         if value is not None and key in node:
-            node[key] = value
+            node[key] = _checked(value, node[key], dest)
     return cfg
 
 

@@ -139,9 +139,8 @@ def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowCon
     thread, and the two sums are added in the same tree order: the result
     is bitwise the one-process result, for a model whose output depends on
     its input alone. The worker keeps its copy of the callable across calls
-    with that same object and gives every GasaUNet it holds the current
-    parameters on every call; gasaunet.worker states that rule and what it
-    does not cover.
+    with that same object, reading a model's parameters from the mapping
+    they share; gasaunet.worker states what it does not see.
     """
     return _tta_mirror(model, volume, swc, worker.usable())
 
@@ -160,8 +159,7 @@ def _tta_mirror(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, sp
 def predict_probs(model: ModelFn | Sequence[ModelFn], volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
     """Probability map from one model, or the mean over an ensemble of them.
     With mirror TTA in two processes, the worker is registered for every
-    member at once, so the members do not restart it in turn, and every
-    GasaUNet a member holds gets the current parameters on every call."""
+    member at once, so the members do not restart it in turn."""
     models = model if isinstance(model, (list, tuple)) else [model]
     predict = tta_mirror_predict if swc.tta_mirror else sliding_window_predict
     ensemble = swc.tta_mirror and len(models) > 1 and worker.usable()

@@ -18,6 +18,7 @@ from scipy.ndimage import binary_erosion, generate_binary_structure
 from scipy.spatial import cKDTree
 
 from .errors import InvalidSpacing, ShapeMismatch
+from .volume import checked_spacing
 
 _SIX_CONN = generate_binary_structure(3, 1)
 
@@ -112,9 +113,7 @@ def nsd(
     spacing: Sequence[float],
 ) -> float | None:
     """Symmetric normalized surface dice at physical tolerance tau."""
-    sp = np.asarray(spacing, dtype=np.float64)
-    if sp.shape != (3,) or np.any(sp <= 0):
-        raise InvalidSpacing(f"spacing must be 3 positive floats, got {spacing}")
+    sp = np.asarray(checked_spacing(spacing))
     if not tau >= 0:   # a NaN tolerance too
         raise InvalidSpacing(f"tolerance must be >= 0, got {tau}")
     pm, gm = _binary_masks(pred, gt, class_ids)

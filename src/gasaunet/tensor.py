@@ -25,6 +25,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -975,6 +976,18 @@ def init_uniform(shape: Sequence[int], fan_in: int, rng: Rng) -> Tensor:
 
 def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(tuple(shape)), requires_grad=requires_grad)
+
+
+def share_memory(tensors: Sequence[Tensor]) -> None:
+    """Move the data of `tensors` into one anonymous MAP_SHARED mapping: a
+    process forked later sees each in-place write, not data rebound."""
+    sizes = [-(-t.data.nbytes // 8) * 8 for t in tensors]   # each view 8-byte aligned
+    starts = np.cumsum([0, *sizes]).tolist()
+    shared = mmap.mmap(-1, starts[-1])
+    for t, start in zip(tensors, starts):
+        view = np.frombuffer(shared, t.data.dtype, t.data.size, start).reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
 
 
 def named_tensors(obj, prefix: str):

@@ -9,9 +9,11 @@ continues the exact trajectory of an unbroken one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import re
 import struct
 import time
 import zlib
@@ -278,13 +280,30 @@ def eval_fingerprint(ckpt: Checkpoint, path: str | Path) -> tuple[tuple[int, ...
     return tuple(patch), NormStats.from_dict(stats), tuple(float(v) for v in spacing)
 
 
+# stored by older versions, cancelled by the maths: conv biases before a norm, the key's last shift, pe "none"'s table
+_REMOVED = re.compile(r"(enc\d+\.\d+|dec\d+\.(reduce|post))\.b[12]?|gasa\.(bk|ln\.k_beta|pe)")
+
+
+def _match_params(tensors: dict[str, np.ndarray], named: list, what: str, removed: re.Pattern | None = None) -> None:
+    """VersionMismatch naming the tensor unless `tensors` holds an array shaped
+    like each (name, parameter) of `named` and no other, `removed` ones aside."""
+    for name, p in named:
+        v = tensors.get(name)
+        if v is None or v.shape != p.shape:
+            found = "missing" if v is None else f"shaped {v.shape}"
+            raise VersionMismatch(f"{what} for parameter {name} is {found}, parameter is shaped {p.shape}")
+    for name in sorted(set(tensors) - {name for name, _ in named}):
+        if not (removed and removed.fullmatch(name)):
+            raise VersionMismatch(f"{what} for {name} names no parameter of the model")
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> GasaUNet:
+    """The model of `ckpt` with its parameters; stored _REMOVED ones are ignored."""
     model = build_model(ckpt.backbone, Rng(0))
-    for name, p in model.named_params():
-        stored = ckpt.params.get(name)
-        if stored is None or stored.shape != p.data.shape:
-            raise VersionMismatch(f"checkpoint parameter {name} missing or misshaped")
-        p.data[...] = stored
+    named = list(model.named_params())
+    _match_params(ckpt.params, named, "checkpoint value", _REMOVED)
+    for name, p in named:
+        p.data[...] = ckpt.params[name]
     return model
 
 
@@ -454,62 +473,48 @@ def _split_batch(batch: int) -> bool:
     return batch >= 2 and worker.usable()
 
 
-def _step_floats(model: GasaUNet, batch: int) -> int:
-    """The float64s of a two-process train() call's buffer sets, for odd and
-    even steps: each [batch, n + 1], a sample's n gradients and its loss."""
-    return 2 * batch * (sum(p.size for _, p in model.named_params()) + 1)
-
-
-def _exchange(pair: worker.Worker, step: int, samples: range, grads: list[list[np.ndarray | None]],
-              losses: list[float], out: list[np.ndarray], params: list[Tensor], rows: list[list[np.ndarray]],
-              row_losses: np.ndarray) -> Tensor:
-    """A node standing for the other process's samples of `step`. Its
-    backward copies this process's sample gradients and losses into their
-    `rows` and `row_losses` of the step's buffer set, posts the step, waits
-    for the other process and sums every row into `out` in sample order, so
-    both processes get the same bits. Flags only grow, and the other
-    process is at most one step ahead: before it writes a set for step k it
-    has seen this one post step k-1, which this one does only after it has
-    read step k-2, the set's previous use. Waiting in a backward pass keeps
-    the wait inside the span that an outside tracer gives backward()."""
-
-    def bw(_g):
-        for i, g in zip(samples, grads):
-            _sum_grads([g], rows[i])
-        row_losses[samples.start : samples.stop] = losses
-        pair.post(step)
-        pair.wait(step)
-        _sum_grads(rows, out)
-
-    return T._node(np.zeros(()), params, bw)
+def _exchange(pair: worker.Worker, step: int, params: list[Tensor]) -> Tensor:
+    """A node whose backward waits until the worker has posted `step`, its
+    rows written: inside the span that an outside tracer gives backward()."""
+    return T._node(np.zeros(()), params, lambda _g: pair.wait(step))
 
 
 def _worker_steps(pair: worker.Worker, model_key: int, data_key: int, cfg: TrainConfig, rng_state: tuple[int, int],
-                  epochs: range, samples: range, momentum: dict[str, np.ndarray]) -> None:
-    """The worker's side of a two-process train() call: every step of
-    `epochs` on samples `samples`, from the parameters and the momentum the
-    parent sent. It takes every optimizer step, so its copy of the model
-    ends where the parent's does."""
-    _step_loop(pair.objects[model_key], pair.objects[data_key], cfg, momentum, Rng.from_state(rng_state), epochs,
-               None, samples, pair)
+                  epochs: range, samples: range) -> None:
+    """The worker's side of a two-process train() call. Each step, once the
+    parent has posted the one before (and stepped the parameters the two
+    share), it backpropagates `samples`, writes each one's n gradients and
+    loss into a row of `pair.shared`, [len(samples), n + 1], and posts."""
+    model, data = pair.objects[model_key], pair.objects[data_key]
+    named = list(model.named_params())
+    draws = _sample_draws(model.cfg)
+    table = pair.shared.reshape(len(samples), -1)
+    rows = [_views(row, named) for row in table]
+    (seed, counter), steps = rng_state, itertools.product(epochs, range(cfg.iters_per_epoch))
+    for step, (epoch, it) in enumerate(steps):
+        pair.wait(step)
+        for row, views, i in zip(table, rows, samples):
+            pair.note(f"sample {i} of epoch {epoch}, iteration {it}")
+            rng = Rng(seed, counter + (step * cfg.batch + i) * draws)
+            row[-1] = _backprop_sample(model, data, cfg, rng, draws, Tensor(1.0 / cfg.batch))
+            _sum_grads([[p.grad for _, p in named]], views)
+        pair.post(step + 1)
 
 
 def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray], rng: Rng,
                epochs: range, log_fh, samples: range, pair: worker.Worker | None) -> tuple[Rng, list[dict]]:
     """Every step of `epochs`, this process computing samples `samples` of
-    each and the other process of `pair` the others, if any; returns the RNG
-    after the last step and the per-epoch log, which goes to log_fh too
-    unless it is None."""
+    each, summing their gradients with those of the worker of `pair`, if
+    any, and taking every optimizer step; returns the RNG after the last
+    step and the per-epoch log, which goes to log_fh too unless it is
+    None."""
     named = list(model.named_params())
     params = [p for _, p in named]
     draws = _sample_draws(model.cfg)
     weight = Tensor(1.0 / cfg.batch)
     grads = np.empty(sum(p.size for _, p in named))
     grad_views = _views(grads, named)
-    if pair is not None:   # pair.shared as [2, batch, n + 1] (see _step_floats)
-        sets = pair.shared.reshape(2, cfg.batch, -1)
-        rows = [[_views(row, named) for row in part] for part in sets]
-        row_losses = sets[:, :, -1]
+    table = None if pair is None else pair.shared.reshape(cfg.batch - len(samples), -1)   # see _worker_steps
     log: list[dict] = []
     step = 0
     for epoch in epochs:
@@ -521,20 +526,14 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
             start = rng.counter
             sample_losses, own = [], []
             for i in samples:
-                if pair is not None:
-                    pair.note(f"sample {i} of epoch {epoch}, iteration {it}")
-                sample_losses.append(
-                    _backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight)
-                )
+                sample_losses.append(_backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight))
                 own.append([p.grad for _, p in named])
-            if pair is None:
-                _sum_grads(own, grad_views)
-            else:
-                pair.note(f"epoch {epoch}, iteration {it}")
-                k = step % 2
-                _exchange(pair, step, samples, own, sample_losses, grad_views, params, rows[k],
-                          row_losses[k]).backward()
-                sample_losses = row_losses[k].tolist()
+            _sum_grads(own, grad_views)
+            if pair is not None:
+                _exchange(pair, step, params).backward()
+                for row in table:   # the same additions, in sample order, as _sum_grads
+                    grads += row[:-1]
+                sample_losses += table[:, -1].tolist()
             for p, g in zip(params, grad_views):
                 p.grad = g
             rng = Rng(rng.seed, start + cfg.batch * draws)
@@ -548,6 +547,8 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
                 name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
                 raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
             sgd_nesterov_step(named, momentum, lr, cfg.momentum)
+            if pair is not None:
+                pair.post(step)   # the worker may read the parameters of the next step
             losses.append(loss_value)
         entry = {"epoch": epoch, "lr": lr, "loss": float(np.mean(losses)), "seconds": time.perf_counter() - t0}
         log.append(entry)
@@ -577,12 +578,10 @@ def train(
     + i * (draws per sample), as one sample after another would.
     With a batch of 2 or more, 2 or more steps in the call, and a process
     that can run a worker (worker.usable), the worker process (gasaunet.worker)
-    runs the same steps on samples [ceil(batch/2), batch) of each while this
-    process runs them on the others, both with one BLAS thread; the result
-    is bitwise the same. The worker outlives the call and serves later
-    calls with the same model, data and batch; on every call it loads the
-    model's current parameters and momentum, but the data must not change in
-    place between them. A worker that fails or dies raises WorkerError.
+    computes samples [ceil(batch/2), batch) of each step and this process
+    the others and every optimizer step, both with one BLAS thread; the
+    result is bitwise the same. The worker outlives the call; the data must
+    not change in place between calls. A worker that fails raises WorkerError.
     A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
     gradient, naming the first such parameter, both before the optimizer
     step; resume momentum that does not match the model's parameters by
@@ -611,14 +610,7 @@ def _train(
     keep_heap_resident()
     named = list(model.named_params())
     if resume is not None:
-        for name, p in named:
-            v = resume.momentum.get(name)
-            if v is None or v.shape != p.shape:
-                found = "missing" if v is None else f"shaped {v.shape}"
-                raise VersionMismatch(f"resume momentum for parameter {name} is {found}, parameter is shaped {p.shape}")
-        unknown = sorted(set(resume.momentum) - {name for name, _ in named})
-        if unknown:
-            raise VersionMismatch(f"resume momentum for {unknown[0]} names no parameter of the model")
+        _match_params(resume.momentum, named, "resume momentum")
         momentum = {k: v.copy() for k, v in resume.momentum.items()}
         rng = Rng.from_state(resume.rng_state)
         start_epoch = resume.epoch
@@ -633,9 +625,9 @@ def _train(
     try:
         if split and len(epochs) * cfg.iters_per_epoch >= 2:
             half = (cfg.batch + 1) // 2
-            with worker.section([model, data], _step_floats(model, cfg.batch)) as pair:
-                pair.submit(_worker_steps, pair.key(model), pair.key(data), cfg, rng.state, epochs,
-                            range(half, cfg.batch), momentum)
+            floats = (cfg.batch - half) * (sum(p.size for _, p in named) + 1)   # see _worker_steps
+            with worker.section([model, data], floats) as pair:
+                pair.submit(_worker_steps, pair.key(model), pair.key(data), cfg, rng.state, epochs, range(half, cfg.batch))
                 rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
                 pair.result()
         else:

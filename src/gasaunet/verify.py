@@ -372,12 +372,11 @@ def check_training_precision(seed: int = 5) -> dict:
 
 def check_training_processes(seed: int = 5) -> dict:
     """Two train() steps of the default model on a random 20^3 case, at
-    batch 2 and at batch 3, computed in this process and again with the last
-    sample of each step in the worker process (a one-step call does not use
-    it): per batch, the loss, parameters, momentum and RNG state must be
-    bitwise equal. `path` says which way train() itself runs here; where it
-    cannot use the worker (training._split_batch), both runs stay in this
-    process."""
+    batch 2, 3 and 4, in this process and again with samples [ceil(B/2), B)
+    of each step in the worker process (a one-step call does not use it):
+    per batch the loss, parameters, momentum and RNG state must be bitwise
+    equal. `path` says which way train() runs here; where it cannot use the
+    worker (training._split_batch), both runs stay in this process."""
     from . import training
     from .backbone import build_model, make_backbone_config
     from .volume import NormStats
@@ -389,7 +388,7 @@ def check_training_processes(seed: int = 5) -> dict:
     data = training.PreparedData([case], [], NormStats(0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0), 3)
     two = training._split_batch(2)
     loss, same_loss, differ, same_rng = {}, {}, {}, True
-    for batch in (2, 3):
+    for batch in (2, 3, 4):
         cfg = training.TrainConfig(epochs=1, iters_per_epoch=2, batch=batch, patch_size=(16, 16, 16), seed=seed)
         (one, one_log), (other, other_log) = (
             training._train(build_model(make_backbone_config(1, 3, (16, 16, 16)), Rng(seed)), data, cfg, None, None,

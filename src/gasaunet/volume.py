@@ -44,10 +44,8 @@ class Volume:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = checked_spacing(self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise InvalidSpacing(f"spacing must be 3 positive floats, got {self.spacing}")
         if self.kind not in (KIND_IMAGE, KIND_LABELS):
             raise FormatError(f"kind must be image|labels, got {self.kind!r}")
         if self.kind == KIND_IMAGE and self.data.ndim != 4:
@@ -86,6 +84,15 @@ def write_volume(vol: Volume, path: str | Path) -> None:
     }
     path.write_bytes(MAGIC + np.ascontiguousarray(data).tobytes())
     Path(str(path) + ".json").write_text(json.dumps(header, sort_keys=True) + "\n")
+
+
+def checked_spacing(spacing, what: str = "spacing") -> tuple[float, float, float]:
+    """`spacing` as 3 floats; InvalidSpacing naming `what` unless it holds 3
+    finite positive numbers."""
+    values = tuple(float(s) for s in spacing)
+    if len(values) != 3 or not all(math.isfinite(s) and s > 0 for s in values):
+        raise InvalidSpacing(f"{what} must be 3 finite positive numbers, got {spacing}")
+    return values
 
 
 def _three_finite(v) -> bool:
@@ -200,8 +207,8 @@ def clip_normalize(img: Volume, fg_mask=None, stats: NormStats | None = None) ->
 def target_spacing(spacings: Sequence[Sequence[float]]) -> tuple[float, float, float]:
     """Per-axis median; on strong anisotropy the coarsest axis drops to the
     10th percentile of that axis's spacings."""
-    arr = np.asarray(list(spacings), dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
+    arr = np.array([checked_spacing(s) for s in spacings]).reshape(-1, 3)
+    if not arr.size:
         raise InvalidSpacing("need a nonempty list of spacing triples")
     med = np.median(arr, axis=0)
     if med.max() / med.min() > ANISO_THRESHOLD:
@@ -280,9 +287,7 @@ def _lowres_axis(shape3: Sequence[int], spacing: Sequence[float]) -> int | None:
 
 
 def _plan(vol: Volume, new_spacing, out_shape):
-    new_spacing = tuple(float(s) for s in new_spacing)
-    if len(new_spacing) != 3 or any(s <= 0 for s in new_spacing):
-        raise InvalidSpacing(f"target spacing must be 3 positive floats, got {new_spacing}")
+    new_spacing = checked_spacing(new_spacing, "target spacing")
     shape3 = vol.spatial_shape
     if out_shape is None:
         out_shape = tuple(

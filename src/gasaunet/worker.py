@@ -1,15 +1,19 @@
 """One worker process that shares the work of training steps and mirror TTA.
 
 The worker is forked on the first call that can use it and outlives that
-call. It takes two kinds of job, each a module-level function that it runs
-on its copies of the objects the job names:
-- samples [ceil(B/2), B) of a train() call's steps (training._worker_steps),
-  exchanging gradients and losses with the parent through `Worker.shared`;
-- mirror passes 4-7 of one volume (inference._far_passes), whose sum it
-  sends back.
-The mapping the two share holds only the step flags, the float64s a call
-asks for (`Worker.shared`; train() lays them out) and a note of what the
-worker is doing. The rest goes through the pipes of jobs and replies.
+call. Its jobs are module-level functions that it runs on its copies of the
+objects the job names: samples [ceil(B/2), B) of a train() call's steps
+(training._worker_steps), whose gradients and losses it writes into
+`Worker.shared`, and mirror passes 4-7 of one volume
+(inference._far_passes), whose sum it sends back. The mapping the two
+share holds the step flags, the float64s a call asks for (`shared`) and a
+note of what the worker is doing; the rest goes through pipes.
+
+Parameters are not sent: every GasaUNet keeps them in a mapping that a
+forked process shares (tensor.share_memory), so the worker reads the
+parent's current ones however a callable reaches the model. Only the parent
+writes them: in train() the worker computes step k after the parent has
+posted step k-1, and the parent steps after the worker has posted k.
 
 Reuse. The fork registers the objects of its call: the GasaUNet and
 PreparedData of a train() call, the model callables of a TTA call (a bound
@@ -17,30 +21,23 @@ predict_logits counts as its GasaUNet, any other object as itself, by `is`).
 The worker holds the GasaUNets they reach: each one named, the `__self__` of
 a bound method, and those among a Python function's closure cells and the
 globals it names. A later call reuses the worker if every object it names is
-registered and reaches the same models, and a call asking for shared
-float64s (train()) if the worker has that many; any other call forks a fresh
-worker. The registry keeps all of them alive, so no id is reused.
+registered and reaches the same models, and a train() call if the worker
+has as many shared float64s as it asks for; any other call (a closure cell
+or global rebound to another model, say) forks a fresh worker. The
+registry keeps all of them alive, so no id is reused.
 
-The one rule: on every job, every GasaUNet that the worker holds gets the
-parent's current parameters, whose bytes follow the pickled job down the pipe
-(a train() job passes its momentum as an argument). Nothing else of a forked
-copy is refreshed: a model reached only through another object (a callable
-object's attribute, a closure inside a closure, a functools.partial) and the
-data of a train() call must not change in place between calls; pass a new
-object, or call `close()`.
+The one rule: parameters are written in place, never rebound, and nothing
+else of a registered object changes between calls (the data of a train()
+call, an attribute of a callable object); pass a new object, or call
+`close()`.
 
-Between jobs the worker blocks on a pipe, using no CPU; it exits on EOF,
-which it reads when the parent dies, and it ignores SIGINT. `close()` reaps
-it; an atexit hook calls it. Any exception inside a two-process section
-kills and reaps the worker. A job that raises replies with a WorkerError
-naming the step or mirror pass, with the traceback as a note, and the parent
-raises it; a worker that dies raises WorkerError naming its note. BLAS runs
-one thread in the worker for its whole life and in the parent inside a
-`section` only.
-
-The worker is forked rather than spawned: it needs copies of the
-registered objects, and a callable such as a closure cannot be pickled. The
-parent forks it inside a section, where its OpenBLAS runs one thread.
+Between jobs the worker blocks on a pipe; it exits on EOF (the parent
+died) and ignores SIGINT. `close()`, also run at exit, reaps it, and so
+does any exception inside a two-process section. A job that raises replies
+with a WorkerError naming the sample or mirror pass, traceback as a note,
+which the parent raises; a worker that dies raises WorkerError naming its
+note. BLAS runs one thread in the worker, and in the parent inside a
+`section`. The worker is forked, not spawned: a closure cannot be pickled.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ import atexit
 import contextlib
 import ctypes
 import functools
+import gc
 import inspect
 import mmap
 import os
@@ -64,10 +62,9 @@ from . import tensor as T
 from .backbone import GasaUNet
 from .errors import WorkerError
 
-# int64 slots at the start of the shared mapping: the last training step
-# each process posted, and the length of the worker's note of what it is doing
-_PARENT_STEP, _WORKER_STEP, _NOTE_BYTES = range(3)
-_SLOTS = 3
+# int64 slots at the start of the shared mapping, and their count: the last training
+# step each process posted, and the length of the worker's note of what it is doing
+_PARENT_STEP, _WORKER_STEP, _NOTE_BYTES, _SLOTS = range(4)
 _NOTE_ROOM = 256
 _SPINS_PER_CHECK = 1 << 14
 
@@ -93,7 +90,7 @@ def openblas_threads():
 def usable() -> bool:
     """Whether this process can run a worker: 2 or more usable CPUs,
     os.fork, the OpenBLAS thread-count getter and setter, and an x86-64
-    CPU. The processes publish training buffers before their flags, and
+    CPU. The processes write rows and parameters before their flags, and
     Python has no memory fence, so this relies on x86-64 making stores
     visible in program order."""
     affinity = getattr(os, "sched_getaffinity", None)
@@ -131,8 +128,6 @@ class Worker:
     def __init__(self, objects: list, floats: int):
         self.objects = {id(o): o for o in objects}
         self.held = {id(o): _held(o) for o in objects}
-        models = {id(m): m for held in self.held.values() for m in held}.values()
-        self.held_params = [p for m in models for _, p in m.named_params()]
         self._map = mmap.mmap(-1, 8 * (_SLOTS + floats) + _NOTE_ROOM)
         self.flags = np.frombuffer(self._map, np.int64, _SLOTS)
         self.shared = np.frombuffer(self._map, np.float64, floats, 8 * _SLOTS)
@@ -150,7 +145,7 @@ class Worker:
     def wait(self, step: int) -> None:
         """Spin until the other process has posted `step`, checking now and
         then that it has not failed or gone (blocking waits stalled the
-        step). Its flag may be one step further on."""
+        step)."""
         flags, other, spins = self.flags, 1 - self.me, 0
         while flags[other] < step:
             spins += 1
@@ -172,9 +167,8 @@ class Worker:
     # -- the parent -------------------------------------------------------------
 
     def serves(self, objects: list, floats: int) -> bool:
-        """Whether a call naming `objects` (already mapped by _stands_for)
-        and asking for `floats` shared float64s (0 for none) may use this
-        worker; see the module docstring. Reaps a worker that has exited."""
+        """Whether a call naming `objects` (mapped by _stands_for) and asking for
+        `floats` shared float64s (0: none) may use this worker; reaps one that exited."""
         known = all(self.objects.get(id(o)) is o and _held(o) == self.held[id(o)] for o in objects)
         if not known or (floats and floats != self.shared.size):
             return False
@@ -191,13 +185,10 @@ class Worker:
     def submit(self, fn, *args) -> None:
         """Start fn(worker, *args) in the worker; `result` returns what it
         returns. fn must be a module-level function (it is pickled by
-        name); objects go as keys. The parameters of every held model go
-        with the job, for the worker to load before it runs fn."""
+        name); objects go as keys."""
         self.flags[:] = 0
         try:
             pickle.dump((fn, args), self._jobs, pickle.HIGHEST_PROTOCOL)
-            for p in self.held_params:   # their bytes, which the worker reads into its copies
-                self._jobs.write(p.data)
             self._jobs.flush()
         except OSError:   # the worker is gone
             self._died()
@@ -229,10 +220,13 @@ class Worker:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
+        gc.unfreeze()
 
     def _fork(self) -> None:
         jobs_r, jobs_w = os.pipe()
         replies_r, replies_w = os.pipe()
+        gc.collect()   # then no garbage is frozen: a full collection in either process would copy
+        gc.freeze()    # every page of the objects it shares with the other
         pid = os.fork()
         if pid == 0:
             os.close(jobs_w)
@@ -247,13 +241,10 @@ class Worker:
     # -- the worker -------------------------------------------------------------
 
     def note(self, doing: str) -> None:
-        """In the worker, record what it is doing, for the parent's
-        WorkerError if it dies and for its own if it raises; a no-op in the
-        parent."""
-        if self.me:
-            data = doing.encode()[:_NOTE_ROOM]
-            self.note_room[: len(data)] = np.frombuffer(data, np.uint8)
-            self.flags[_NOTE_BYTES] = len(data)
+        """Record what the worker is doing, for its WorkerError or the parent's."""
+        data = doing.encode()[:_NOTE_ROOM]
+        self.note_room[: len(data)] = np.frombuffer(data, np.uint8)
+        self.flags[_NOTE_BYTES] = len(data)
 
     def model_fn(self, key: int):
         """The model callable a TTA job names."""
@@ -271,8 +262,6 @@ class Worker:
             while True:
                 try:
                     fn, args = pickle.load(jobs)
-                    if any(jobs.readinto(p.data) < p.data.nbytes for p in self.held_params):
-                        raise EOFError
                 except EOFError:
                     code = 0
                     break

@@ -208,6 +208,19 @@ def test_tile_starts_cover_and_clamp():
 
 
 
+def test_evaluate_split_rejects_a_nan_tolerance_before_any_prediction(monkeypatch):
+    from gasaunet import inference
+    from gasaunet.errors import InvalidSpacing
+    from test_training import tiny_data
+
+    def no_prediction(*args):
+        raise AssertionError("a case was predicted")
+
+    monkeypatch.setattr(inference, "predict_labels", no_prediction)
+    with pytest.raises(InvalidSpacing, match="tolerance must be >= 0, got nan"):
+        inference.evaluate_split(no_prediction, tiny_data(), SlidingWindowConfig(patch_size=(8, 8, 8)), float("nan"))
+
+
 def test_float32_inference_agrees_with_the_float64_forward(tmp_path, monkeypatch):
     """predict_logits runs in float32: on held-out phantom cases of a briefly
     trained model, its labels must match float64 inference on >= 99.9% of the

@@ -78,6 +78,14 @@ def test_nsd_invalid_spacing():
         nsd(a, a, [1], -1.0, (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nsd_rejects_a_non_finite_spacing(bad):
+    a = np.zeros((6, 6, 6), dtype=int)
+    a[1:4, 1:4, 1:4] = 1
+    with pytest.raises(InvalidSpacing, match="spacing must be 3 finite positive numbers"):
+        nsd(a, a, [1], 1.0, (bad, 1.0, 1.0))
+
+
 def test_nsd_rejects_a_nan_tolerance():
     """Every distance compares false with NaN, which read as NSD 0."""
     a = np.zeros((6, 6, 6), dtype=int)

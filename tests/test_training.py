@@ -1,5 +1,8 @@
+import copy
 import json
+import mmap
 import os
+import pickle
 import re
 import signal
 import struct
@@ -201,6 +204,20 @@ def _saved_untrained_checkpoint(path):
     ckpt = checkpoint_from_model(model, momentum, 0, Rng(0))
     save_checkpoint(ckpt, path)
     return ckpt
+
+
+@pytest.mark.parametrize("edit", ["missing", "misshaped", "unknown"])
+def test_checkpoint_parameters_must_match_the_model(edit):
+    ckpt = checkpoint_from_model(tiny_model(), {}, 0, Rng(0))
+    if edit == "missing":
+        del ckpt.params["head.b"]
+    elif edit == "misshaped":
+        ckpt.params["head.b"] = np.zeros(7)
+    else:
+        ckpt.params["head.extra"] = np.zeros(2)
+    name = "head.extra" if edit == "unknown" else "parameter head.b"
+    with pytest.raises(VersionMismatch, match=f"^checkpoint value for {name} "):
+        model_from_checkpoint(ckpt)
 
 
 def test_truncated_checkpoint_names_file_and_tensor(tmp_path):
@@ -479,6 +496,28 @@ def test_two_processes_are_bitwise_one_process(batch):
     assert_same_run(one, two)
 
 
+def mapping(model):
+    """The one mmap that every parameter of `model` views, else None."""
+    found = set()
+    for _, p in model.named_params():
+        base = p.data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        found.add(base.obj if isinstance(base, memoryview) else base)
+    return found.pop() if len(found) == 1 and isinstance(next(iter(found)), mmap.mmap) else None
+
+
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=two_processes)])
+def test_parameters_stay_views_of_the_model_mapping(split):
+    model = tiny_model()
+    shared = mapping(model)
+    ckpt, _ = training._train(model, tiny_data(), split_cfg(), None, None, None, split)
+    assert shared is not None and mapping(model) is shared
+    assert mapping(model_from_checkpoint(ckpt)) is not None
+    assert mapping(copy.deepcopy(model)) not in (None, shared)
+    assert mapping(pickle.loads(pickle.dumps(model))) not in (None, shared)
+
+
 def test_one_usable_cpu_runs_in_one_process(monkeypatch):
     data, cfg = tiny_data(), split_cfg()
     want = train(tiny_model(), data, cfg)
@@ -614,15 +653,15 @@ def test_keyboard_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
 
 @two_processes
 def test_a_parent_late_to_its_wait_still_finishes(monkeypatch):
-    """The worker may post step k+1 before the parent first reads its flag
-    for step k; a wait for the flag to equal k then spins forever."""
+    """A parent that reads the worker's flag late still sees the step it
+    waits for: the spin ends once the flag has reached the step."""
     real, calls = worker.Worker.wait, [0]
 
     def late(self, *args):
         if not in_worker():
             calls[0] += 1
             if calls[0] == 2:
-                time.sleep(0.06)   # the worker sees step 2 posted and posts step 3 meanwhile
+                time.sleep(0.06)   # the worker posts step 2 meanwhile
         return real(self, *args)
 
     def expire(signum, frame):
@@ -642,6 +681,22 @@ def test_a_parent_late_to_its_wait_still_finishes(monkeypatch):
     assert calls[0] >= 2
     assert_same_run(one, two)
     assert pids == [worker._current.pid]   # the worker outlives the call
+
+
+@two_processes
+def test_the_worker_computes_a_step_only_after_the_parent_has_stepped_the_parameters(monkeypatch):
+    """The two share the parameters: a parent slow to take its optimizer
+    step must not let the worker start the next step on the old ones."""
+    data, cfg = tiny_data(), split_cfg()
+    one = training._train(tiny_model(), data, cfg, None, None, None, False)
+    real = training.sgd_nesterov_step
+
+    def slow(*args):
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(training, "sgd_nesterov_step", slow)
+    assert_same_run(training._train(tiny_model(), data, cfg, None, None, None, True), one)
 
 
 def test_a_one_step_call_runs_in_one_process(monkeypatch):

@@ -221,6 +221,23 @@ def test_resample_invalid_spacing():
         resample_image(img, (1.0, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_volume_rejects_a_non_finite_spacing(bad):
+    with pytest.raises(InvalidSpacing, match="spacing must be 3 finite positive numbers"):
+        make_image(np.zeros((1, 4, 4, 4)), spacing=(1.0, bad, 1.0))
+
+
+def test_resample_rejects_a_nan_target_spacing():
+    img = make_image(np.zeros((1, 4, 4, 4)))
+    with pytest.raises(InvalidSpacing, match="target spacing must be 3 finite positive numbers"):
+        resample_image(img, (1.0, float("nan"), 1.0))
+
+
+def test_target_spacing_rejects_a_nan_spacing():
+    with pytest.raises(InvalidSpacing, match="spacing must be 3 finite positive numbers"):
+        target_spacing([(1.0, 1.0, 1.0), (float("nan"), 1.0, 1.0)])
+
+
 def test_resample_labels_identity():
     rng = np.random.default_rng(7)
     lab = make_labels(rng.integers(0, 3, size=(4, 5, 6)))

@@ -3,6 +3,7 @@ and mirror TTA reuse it and when they fork a fresh one, that its results are
 bitwise the one-process results, that a model changed outside it is never
 served stale, and that it fails loudly and leaves no process behind."""
 
+import functools
 import os
 import signal
 import subprocess
@@ -108,8 +109,8 @@ def test_a_call_naming_another_object_forks_a_fresh_worker(change):
         assert worker_pid() == pid
         inference.tta_mirror_predict(lambda x: x[:1].repeat(2, axis=0), volume(), SWC)
     else:
-        if change == "smaller batch":
-            cfg = split_cfg(batch=3)
+        if change == "smaller batch":   # batch 4 gives the worker 2 samples per step, batch 2 one
+            cfg = split_cfg(batch=4)
         training.train(model, data, cfg)
         pid = worker_pid()
         if change == "model":
@@ -117,14 +118,28 @@ def test_a_call_naming_another_object_forks_a_fresh_worker(change):
         elif change == "data":
             training.train(model, tiny_data(), cfg)
         else:
-            training.train(model, data, split_cfg(batch=5 - cfg.batch))
+            training.train(model, data, split_cfg(batch=6 - cfg.batch))
     assert worker_pid() not in (None, pid)
 
 
 @two_processes
+def test_a_batch_of_three_after_two_reuses_the_worker_bitwise():
+    """Batches 2 and 3 both give the worker one sample per step."""
+    data, cfg = tiny_data(), split_cfg(batch=3)
+    want = training._train(tiny_model(), data, cfg, None, None, None, False)
+    model = tiny_model()
+    training.train(model, data, split_cfg(batch=2))
+    pid = worker_pid()
+    for (_, p), (_, start) in zip(model.named_params(), tiny_model().named_params()):
+        p.data[...] = start.data
+    assert_same_run(training.train(model, data, cfg), want)
+    assert pid is not None and worker_pid() == pid
+
+
+@two_processes
 def test_a_smaller_batch_after_a_larger_one_is_bitwise_one_process():
-    """A worker sized for batch 3 has a third gradient row and loss that a
-    batch-2 step never writes."""
+    """The batch-2 call reuses the worker that the batch-3 call forked: both
+    give it one sample, one row, per step."""
     data, cfg = tiny_data(), split_cfg(batch=2)
     want = training._train(tiny_model(), data, cfg, None, None, None, False)
     model = tiny_model()
@@ -190,6 +205,37 @@ def test_every_model_the_worker_holds_is_refreshed_on_every_call(monkeypatch, re
     else:
         for (_, p), (_, other) in zip(named, tiny_model(2).named_params()):
             p.data[...] = other.data
+    got = inference.tta_mirror_predict(fn, vol, SWC)
+    assert worker_pid() == pid
+    assert got.tobytes() != before.tobytes()
+    assert got.tobytes() == serial_tta(fn, vol).tobytes()
+
+
+def _predict(model, x):
+    return model.predict_logits(x)
+
+
+class _Predictor:
+    def __init__(self, model):
+        self.model = model
+
+    def __call__(self, x):
+        return self.model.predict_logits(x)
+
+
+@two_processes
+@pytest.mark.parametrize("reach", ["functools.partial", "callable object"])
+def test_a_model_reached_through_another_object_is_current_after_an_in_place_step(reach):
+    """The worker holds no such model, but it reads its parameters from
+    the mapping the model shares with the parent."""
+    model, vol = tiny_model(), volume()
+    fn = functools.partial(_predict, model) if reach == "functools.partial" else _Predictor(model)
+    before = inference.tta_mirror_predict(fn, vol, SWC)
+    pid = worker_pid()
+    named = list(model.named_params())
+    for _, p in named:
+        p.grad = np.full_like(p.data, 0.5)
+    training.sgd_nesterov_step(named, {name: np.zeros_like(p.data) for name, p in named}, 0.1, 0.9)
     got = inference.tta_mirror_predict(fn, vol, SWC)
     assert worker_pid() == pid
     assert got.tobytes() != before.tobytes()
