@@ -2,9 +2,9 @@
 
 One token per slice along each spatial axis: a full-plane kernel projects
 every W/H/D slice to a d_model vector, the w+h+d tokens go through MLP-free
-multi-head self-attention (the heads are one array axis), each attended
-token is broadcast back over its slice, and the three axis volumes are
-concatenated onto the input channels. An optional learnable positional embedding is added to the tokens
+multi-head self-attention (one `T.attention` node between biased `T.einsum`
+projections), each attended token is broadcast back over its slice, and the
+three axis volumes are concatenated onto the input channels. An optional learnable positional embedding is added to the tokens
 either before or after attention.
 """
 
@@ -130,9 +130,9 @@ def axial_project(x: Tensor, params: GasaParams, cfg: GasaConfig) -> Tensor:
     if x.shape != (c, w, h, d):
         raise ShapeMismatch(f"expected input {(c, w, h, d)}, got {x.shape}")
     dm = cfg.d_model
-    p_w = T.add(T.einsum("cwhd,ochd->wo", x, T.reshape(params.proj_w, (dm, c, h, d))), params.proj_w_b)
-    p_h = T.add(T.einsum("cwhd,ocwd->ho", x, T.reshape(params.proj_h, (dm, c, w, d))), params.proj_h_b)
-    p_d = T.add(T.einsum("cwhd,ocwh->do", x, T.reshape(params.proj_d, (dm, c, w, h))), params.proj_d_b)
+    p_w = T.einsum("cwhd,ochd->wo", x, T.reshape(params.proj_w, (dm, c, h, d)), bias=params.proj_w_b)
+    p_h = T.einsum("cwhd,ocwd->ho", x, T.reshape(params.proj_h, (dm, c, w, d)), bias=params.proj_h_b)
+    p_d = T.einsum("cwhd,ocwh->do", x, T.reshape(params.proj_d, (dm, c, w, h)), bias=params.proj_d_b)
     return T.concat([p_w, p_h, p_d], axis=0)
 
 
@@ -146,36 +146,24 @@ def mhsa(
 ):
     """Multi-head scaled dot-product self-attention over the token sequence.
 
-    Head h owns feature columns [h*d_k, (h+1)*d_k) of Q, K and V. No MLP
-    follows: the heads are merged back into d_model columns, mixed by the
-    output projection, and (when training) hit by dropout. Layer norm after
+    Head h owns feature columns [h*d_k, (h+1)*d_k) of Q, K and V
+    (`T.attention`). No MLP follows: the merged heads are mixed by the
+    output projection and (when training) hit by dropout. Layer norm after
     each of the Q/K/V projections is optional and off by default. With
     return_weights, also returns one row-stochastic [n, n] Tensor per head.
     """
-    dm = cfg.d_model
-    if tokens.data.ndim != 2 or tokens.shape[1] != dm:
-        raise ShapeMismatch(f"tokens must be [n, {dm}], got {tokens.shape}")
-    n = tokens.shape[0]
+    if tokens.data.ndim != 2 or tokens.shape[1] != cfg.d_model:
+        raise ShapeMismatch(f"tokens must be [n, {cfg.d_model}], got {tokens.shape}")
 
-    def project(wmat: Tensor, bias: Tensor | None, key: str) -> Tensor:
-        out = T.einsum("nc,co->no", tokens, wmat)
-        if bias is not None:
-            out = T.add(out, bias)
-        if cfg.use_layer_norm:
-            out = T.layer_norm(out, params.ln[f"{key}_gamma"], params.ln.get(f"{key}_beta"))
-        return T.reshape(out, (n, cfg.heads, cfg.d_k))
+    def project(key: str) -> Tensor:
+        out = T.einsum("nc,co->no", tokens, getattr(params, f"w{key}"), bias=getattr(params, f"b{key}"))
+        return T.layer_norm(out, params.ln[f"{key}_gamma"], params.ln.get(f"{key}_beta")) if cfg.use_layer_norm else out
 
-    q = project(params.wq, params.bq, "q")
-    k = project(params.wk, params.bk, "k")
-    v = project(params.wv, params.bv, "v")
-
-    scores = T.mul(T.einsum("qhd,khd->hqk", q, k), Tensor(1.0 / math.sqrt(cfg.d_k)))
-    probs = T.softmax(scores, axis=-1)
-    merged = T.reshape(T.einsum("hqk,khd->qhd", probs, v), (n, dm))
-    out = T.add(T.einsum("nc,co->no", merged, params.wo), params.bo)
+    merged, probs = T.attention(project("q"), project("k"), project("v"), cfg.heads, 1.0 / math.sqrt(cfg.d_k))
+    out = T.einsum("nc,co->no", merged, params.wo, bias=params.bo)
     out = T.dropout(out, cfg.dropout_p, training=training, rng=rng)
     if return_weights:
-        return out, [Tensor(head) for head in probs.data]
+        return out, [Tensor(head) for head in probs]
     return out
 
 

@@ -33,8 +33,8 @@ class SlidingWindowConfig:
     def validate(self) -> None:
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
-        if self.sigma_scale <= 0:
-            raise ValueError("sigma_scale must be positive")
+        if not 0 < self.sigma_scale < np.inf:
+            raise ValueError(f"sigma_scale must be finite and positive, got {self.sigma_scale}")
 
 
 def gaussian_importance(patch_size: Sequence[int], sigma_scale: float = 0.125) -> np.ndarray:

@@ -372,7 +372,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / reduction ops
+# elementwise ops
 # ---------------------------------------------------------------------------
 
 
@@ -399,18 +399,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * ad, b.shape))
 
     return _node(out_data, (a, b), bw)
-
-
-def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    out_data = _data(a).sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if a.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-
-    return _node(out_data, (a,), bw)
 
 
 def _check_slope(slope: float) -> None:
@@ -497,7 +485,7 @@ def upsample_nearest(a: Tensor, factors: Sequence[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# contraction and softmax
+# contraction and attention
 # ---------------------------------------------------------------------------
 
 
@@ -554,9 +542,9 @@ def _contract(spec: str, a: Array, b: Array) -> Array:
     return out.reshape(mid).transpose(perm_out)
 
 
-def einsum(spec: str, *operands: Tensor) -> Tensor:
+def einsum(spec: str, *operands: Tensor, bias: Tensor | None = None) -> Tensor:
     """Contraction of two operands over an explicit "ab,bc->ac" spec,
-    differentiable in both.
+    differentiable in both, plus `bias` over the output's last axis if given.
 
     Each index is a batch index (in both operands and the output), a free
     index (in one operand and the output) or a contracted one (in both
@@ -571,7 +559,7 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
     contraction, no operand may repeat an index (no diagonals), and every
     index of an operand must also appear in the output or in the other
     operand (no index that only one operand sums away). Any other operand
-    count raises ShapeMismatch.
+    count, or a bias not of shape (out.shape[-1],), raises ShapeMismatch.
     """
     if len(operands) != 2:
         raise ShapeMismatch(f"einsum takes two operands, got {len(operands)}")
@@ -579,6 +567,10 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
     spec = spec.replace(" ", "")
     ad, bd = _data(a), _data(b)
     out_data = _contract(spec, ad, bd)
+    if bias is not None:
+        if out_data.ndim == 0 or bias.shape != out_data.shape[-1:]:
+            raise ShapeMismatch(f"einsum bias must have shape (out.shape[-1],) of {out_data.shape}, got {bias.shape}")
+        out_data += _data(bias)
 
     def bw(g):
         lhs, _, out_idx = spec.partition("->")
@@ -587,8 +579,10 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
             a.accumulate_grad(np.asarray(_contract(f"{out_idx},{tb}->{ta}", g, bd), order="C"))
         if b.requires_grad:
             b.accumulate_grad(np.asarray(_contract(f"{out_idx},{ta}->{tb}", g, ad), order="C"))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
-    return _node(out_data, operands, bw)
+    return _node(out_data, operands if bias is None else (a, b, bias), bw)
 
 
 def softmax_array(x: Array, axis: int) -> Array:
@@ -597,17 +591,32 @@ def softmax_array(x: Array, axis: int) -> Array:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax over one axis, max-subtracted for stability."""
-    if a.data.ndim == 0 or a.shape[axis] < 1:
-        raise ShapeMismatch(f"softmax needs a nonempty axis {axis}, got shape {a.shape}")
-    y = softmax_array(_data(a), axis)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, Array]:
+    """softmax(scale * Q K^T) V per head of [n, d] rows as one node, head h
+    owning columns [h*d/heads, (h+1)*d/heads); returns the merged [n, d]
+    output and the [heads, n, n] weights. The backward pass is that of the
+    chain einsum, scale, softmax, einsum, through the same `_contract` plans."""
+    if q.data.ndim != 2 or not q.shape == k.shape == v.shape or heads < 1 or q.shape[1] % heads:
+        raise ShapeMismatch(f"attention needs q, k, v of one [n, d] shape, {heads} | d; got {q.shape}, {k.shape}, {v.shape}")
+    n, d = q.shape
+    split = (n, heads, d // heads)
+    qd, kd, vd = (_data(t).reshape(split) for t in (q, k, v))
+    c = np.asarray(scale, dtype=_dtype)
+    probs = softmax_array(_contract("qhd,khd->hqk", qd, kd) * c, axis=-1)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        g = g.reshape(split)
+        if q.requires_grad or k.requires_grad:
+            g_probs = np.asarray(_contract("qhd,khd->hqk", g, vd), order="C")
+            g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
+            if q.requires_grad:
+                q.accumulate_grad(np.asarray(_contract("hqk,khd->qhd", g_scores, kd), order="C").reshape(n, d))
+            if k.requires_grad:
+                k.accumulate_grad(np.asarray(_contract("hqk,qhd->khd", g_scores, qd), order="C").reshape(n, d))
+        if v.requires_grad:
+            v.accumulate_grad(np.asarray(_contract("qhd,hqk->khd", g, probs), order="C").reshape(n, d))
 
-    return _node(y, (a,), bw)
+    return _node(_contract("hqk,khd->qhd", probs, vd).reshape(n, d), (q, k, v), bw), probs
 
 
 # ---------------------------------------------------------------------------

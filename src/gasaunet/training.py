@@ -50,8 +50,10 @@ class TrainConfig:
     poly_exponent: float = 0.9
 
     def validate(self) -> None:
-        if self.lr0 <= 0 or not 0 <= self.momentum < 1 or self.epochs < 1:
-            raise InvalidConfig("need lr0 > 0, 0 <= momentum < 1, epochs >= 1")
+        if not 0 < self.lr0 < math.inf or not 0 <= self.momentum < 1 or self.epochs < 1:
+            raise InvalidConfig("need finite lr0 > 0, 0 <= momentum < 1, epochs >= 1")
+        if not math.isfinite(self.poly_exponent):
+            raise InvalidConfig(f"poly_exponent must be finite, got {self.poly_exponent}")
         if self.batch < 1 or self.iters_per_epoch < 1:
             raise InvalidConfig(f"need batch >= 1 and iters_per_epoch >= 1, got {self.batch}, {self.iters_per_epoch}")
         if len(self.patch_size) != 3 or min(self.patch_size) < 1:

@@ -172,7 +172,24 @@ def _default_16cube():
 def test_graph_size_per_training_sample():
     model, x, onehot = _default_16cube()
     loss = soft_dice_ce_loss(model.forward(x, training=True, rng=Rng(2)), onehot)
-    assert len(_graph_nodes(loss)) <= 56
+    assert len(_graph_nodes(loss)) <= 42
+
+
+@pytest.mark.parametrize("pe_mode, use_layer_norm, nodes", [
+    ("after", False, 16), ("after", True, 30),
+    ("before", False, 16), ("before", True, 30),
+    ("none", False, 15), ("none", True, 29),
+])
+def test_graph_size_of_the_gasa_block(pe_mode, use_layer_norm, nodes):
+    """Three biased projection contractions and their concat, three Q/K/V
+    contractions, one attention node, the biased output contraction,
+    dropout, the positional embedding, the expansion and the channel
+    concat; layer norm adds 14 nodes (5 for q and v, 4 for k)."""
+    cfg = GasaConfig(in_channels=2, spatial=(3, 4, 5), d_model=4, heads=2, pe_mode=pe_mode,
+                     use_layer_norm=use_layer_norm)
+    params = gasa.init_gasa_params(cfg, Rng(0))
+    x = Tensor(Rng(1).normal_array(2 * 60).reshape(2, 3, 4, 5), requires_grad=True)
+    assert len(_graph_nodes(gasa.gasa_forward(x, params, cfg, training=True, rng=Rng(2)))) <= nodes
 
 
 def test_forward_only_graph_freed_without_cyclic_gc():
@@ -181,7 +198,7 @@ def test_forward_only_graph_freed_without_cyclic_gc():
     try:
         logits = model.forward(x)
         buffers = [weakref.ref(t.data) for t in _graph_nodes(logits)]
-        assert len(buffers) > 50
+        assert len(buffers) >= 40
         del logits
         assert sum(ref() is not None for ref in buffers) == 0
     finally:

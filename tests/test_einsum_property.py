@@ -52,8 +52,8 @@ def test_einsum_and_gradients_match_numpy(case, seed):
     _close(out.data, spec, a_np, b_np)
 
     coef = gen.standard_normal(out.shape)
-    T.tsum(T.mul(out, Tensor(coef))).backward()
     lhs, _, out_idx = spec.partition("->")
+    T.einsum(f"{out_idx},{out_idx}->", out, Tensor(coef)).backward()
     ta, tb = lhs.split(",")
     _close(a.grad, f"{out_idx},{tb}->{ta}", coef, b_np)
     _close(b.grad, f"{out_idx},{ta}->{tb}", coef, a_np)

@@ -220,14 +220,15 @@ def test_axial_expand_all_ones():
 def test_axial_expand_gradient_fanout():
     cfg = small_cfg()
     att = Tensor(Rng(13).normal_array(12 * 4).reshape(12, 4), requires_grad=True)
-    T.tsum(axial_expand(att, cfg)).backward()
+    ones = Tensor(np.ones((12, 3, 4, 5)))
+    T.einsum("cwhd,cwhd->", axial_expand(att, cfg), ones).backward()
     w, h, d = cfg.spatial
     assert np.all(att.grad[:w] == h * d)
     assert np.all(att.grad[w : w + h] == w * d)
     assert np.all(att.grad[w + h :] == w * h)
 
     def f():
-        return T.tsum(axial_expand(att, cfg))
+        return T.einsum("cwhd,cwhd->", axial_expand(att, cfg), ones)
 
     assert max_rel_err(att.grad, fd_grad(f, att)) <= 1e-6
 
@@ -244,7 +245,7 @@ def test_pe_mode_none_identity_and_zero_grad():
     pe = T.zeros([2, 4], requires_grad=True)
     out = add_positional_embedding(tokens, pe, "none")
     assert out is tokens
-    T.tsum(out).backward()
+    T.einsum("ij,ij->", out, Tensor(np.ones((2, 4)))).backward()
     assert pe.grad is None
 
 
@@ -278,7 +279,7 @@ def test_gasa_forward_gradient_check():
 
     def f():
         out = gasa_forward(x, params, cfg, training=True, rng=Rng.from_state(drop_state))
-        return T.tsum(T.mul(out, Tensor(coef)))
+        return T.einsum("cwhd,cwhd->", out, Tensor(coef))
 
     f().backward()
     checked = [("x", x)] + list(params.named())
@@ -295,7 +296,7 @@ def test_gasa_forward_layer_norm_path_gradient():
 
     def f():
         out = gasa_forward(x, params, cfg, training=False)
-        return T.tsum(T.mul(out, Tensor(coef)))
+        return T.einsum("cwhd,cwhd->", out, Tensor(coef))
 
     f().backward()
     for name, p in params.named():

@@ -53,6 +53,13 @@ def test_single_window_equals_plain_forward():
     assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma_scale", [float("nan"), float("inf")])
+def test_sliding_window_rejects_a_non_finite_sigma_scale(sigma_scale):
+    swc = SlidingWindowConfig(patch_size=(4, 4, 4), sigma_scale=sigma_scale)
+    with pytest.raises(ValueError, match="sigma_scale"):
+        sliding_window_predict(lambda x: np.zeros((2,) + x.shape[1:]), np.zeros((1, 6, 6, 6)), swc)
+
+
 def test_constant_stub_overlap_invariant():
     rng = np.random.default_rng(1)
     vol = rng.normal(size=(1, 10, 9, 11))

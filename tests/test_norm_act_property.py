@@ -27,11 +27,12 @@ def _rsqrt(v: Tensor) -> Tensor:
 def unfused(x: Tensor, gamma: Tensor, beta: Tensor, slope):
     c = x.shape[0]
     inv_n = Tensor(1.0 / (x.size // c))
-    mean = T.mul(T.tsum(x, axis=(1, 2, 3), keepdims=True), inv_n)
+    per_channel = (c, 1, 1, 1)
+    mean = T.mul(T.reshape(T.einsum("cwhd,whd->c", x, Tensor(np.ones(x.shape[1:]))), per_channel), inv_n)
     centered = T.add(x, T.mul(mean, Tensor(-1.0)))
-    var = T.mul(T.tsum(T.mul(centered, centered), axis=(1, 2, 3), keepdims=True), inv_n)
+    var = T.mul(T.reshape(T.einsum("cwhd,cwhd->c", centered, centered), per_channel), inv_n)
     y = T.mul(centered, _rsqrt(var))
-    z = T.add(T.mul(y, T.reshape(gamma, (c, 1, 1, 1))), T.reshape(beta, (c, 1, 1, 1)))
+    z = T.add(T.mul(y, T.reshape(gamma, per_channel)), T.reshape(beta, per_channel))
     return z if slope is None else T.leaky_relu(z, slope)
 
 
@@ -51,7 +52,7 @@ def test_fused_instance_norm_matches_unfused_composition(shape, slope, seed):
     params = (x, gamma, beta)
 
     def loss(fn):
-        return T.tsum(T.mul(fn(x, gamma, beta, slope), coef))
+        return T.einsum("cwhd,cwhd->", fn(x, gamma, beta, slope), coef)
 
     ref_out = unfused(x, gamma, beta, slope)
     out = T.instance_norm(x, gamma, beta, slope)
@@ -117,7 +118,8 @@ def out_and_grads(fn, inputs, upstream):
         t.zero_grad()
     with np.errstate(all="ignore"):  # NaN and inf inputs are the point
         out = fn(*inputs)
-        T.tsum(T.mul(out, Tensor(upstream))).backward()
+        idx = "cwhd"[4 - out.data.ndim:]
+        T.einsum(f"{idx},{idx}->", out, Tensor(upstream)).backward()
     return out.data, [t.grad for t in inputs]
 
 

@@ -35,7 +35,7 @@ def test_matmul_gradient_matches_finite_differences():
     b = Tensor(rng.normal_array(9).reshape(3, 3), requires_grad=True)
 
     def f():
-        return T.tsum(T.einsum("ij,jk->ik", a, b))
+        return T.einsum("ij,ij->", T.einsum("ij,jk->ik", a, b), Tensor(np.ones((3, 3))))
 
     f().backward()
     fd = fd_grad(f, a, eps=1e-5)
@@ -55,7 +55,9 @@ def test_einsum_gradients_match_finite_differences(spec, shapes):
     coef = rng.normal_array(int(np.prod(out_shape))).reshape(out_shape)
 
     def f():
-        return T.tsum(T.mul(T.einsum(spec, *ops), Tensor(coef)))
+        out = T.einsum(spec, *ops)
+        idx = "abc"[: out.data.ndim]
+        return T.einsum(f"{idx},{idx}->", out, Tensor(coef))
 
     f().backward()
     for p in ops:
@@ -87,48 +89,97 @@ def test_einsum_rejects_bad_specs(spec, shapes):
 
 
 def test_softmax_uniform():
-    out = T.softmax(Tensor(np.array([0.0, 0.0, 0.0])))
-    assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
+    out = T.softmax_array(np.array([0.0, 0.0, 0.0]), axis=-1)
+    assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = T.softmax(Tensor(np.array([1000.0, 0.0])))
-    assert np.all(np.isfinite(out.data))
-    assert out.data[0] == pytest.approx(1.0)
+    out = T.softmax_array(np.array([1000.0, 0.0]), axis=-1)
+    assert np.all(np.isfinite(out))
+    assert out[0] == pytest.approx(1.0)
 
 
 def test_softmax_rows_sum_to_one():
     rng = Rng(17)
-    x = Tensor(rng.normal_array(35).reshape(5, 7) * 10)
-    y = T.softmax(x)
-    assert np.max(np.abs(y.data.sum(axis=-1) - 1.0)) <= 1e-12
-    assert np.all((y.data >= 0) & (y.data <= 1))
-
-
-def test_softmax_gradient():
-    rng = Rng(23)
-    x = Tensor(rng.normal_array(12).reshape(3, 4), requires_grad=True)
-    coef = rng.normal_array(12).reshape(3, 4)
-
-    def f():
-        return T.tsum(T.mul(T.softmax(x), Tensor(coef)))
-
-    f().backward()
-    assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-5
+    y = T.softmax_array(rng.normal_array(35).reshape(5, 7) * 10, axis=-1)
+    assert np.max(np.abs(y.sum(axis=-1) - 1.0)) <= 1e-12
+    assert np.all((y >= 0) & (y <= 1))
 
 
 def test_softmax_axis_zero_matches_last_axis_of_transpose():
-    rng = Rng(29)
-    x = Tensor(rng.normal_array(12).reshape(3, 4), requires_grad=True)
-    coef = rng.normal_array(12).reshape(3, 4)
-    y = T.softmax(x, axis=0)
-    assert np.array_equal(y.data, T.softmax(Tensor(x.data.T)).data.T)
+    x = Rng(29).normal_array(12).reshape(3, 4)
+    assert np.array_equal(T.softmax_array(x, axis=0), T.softmax_array(x.T, axis=-1).T)
+
+
+def _qkv(rng: Rng, n: int, d: int) -> list[Tensor]:
+    return [Tensor(rng.normal_array(n * d).reshape(n, d), requires_grad=True) for _ in range(3)]
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+def test_attention_gradients_match_finite_differences(heads):
+    rng = Rng(23)
+    q, k, v = _qkv(rng, 5, 6)
+    coef = rng.normal_array(5 * 6).reshape(5, 6)
 
     def f():
-        return T.tsum(T.mul(T.softmax(x, axis=0), Tensor(coef)))
+        return T.einsum("nd,nd->", T.attention(q, k, v, heads, 0.7)[0], Tensor(coef))
 
     f().backward()
-    assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-5
+    for p in (q, k, v):
+        assert p.grad.dtype == np.float64
+        assert max_rel_err(p.grad, fd_grad(f, p, eps=1e-6)) <= 1e-6
+
+
+def test_attention_matches_the_numpy_reference():
+    rng = Rng(47)
+    n, heads, d_k, scale = 7, 3, 2, 0.6
+    q, k, v = _qkv(rng, n, heads * d_k)
+    out, weights = T.attention(q, k, v, heads, scale)
+    qh, kh, vh = (t.data.reshape(n, heads, d_k) for t in (q, k, v))
+    want = T.softmax_array(scale * np.einsum("qhd,khd->hqk", qh, kh), axis=-1)
+    assert weights.shape == (heads, n, n)
+    np.testing.assert_allclose(weights, want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(out.data, np.einsum("hqk,khd->qhd", want, vh).reshape(n, heads * d_k), rtol=1e-13, atol=1e-15)
+    assert out._parents == (q, k, v)
+
+
+@pytest.mark.parametrize("shapes, heads", [
+    ([(4, 6), (4, 6), (5, 6)], 2),   # v has another token count
+    ([(4, 6), (4, 4), (4, 6)], 2),   # k has another width
+    ([(4, 6)] * 3, 4),               # 6 columns do not split into 4 heads
+    ([(4, 6)] * 3, 0),               # no heads
+    ([(2, 4, 6)] * 3, 2),            # not [n, d] rows
+])
+def test_attention_rejects_mismatched_shapes(shapes, heads):
+    with pytest.raises(ShapeMismatch):
+        T.attention(*(Tensor(np.ones(s)) for s in shapes), heads, 1.0)
+
+
+def test_einsum_bias_gradient_matches_finite_differences():
+    rng = Rng(53)
+    a = Tensor(rng.normal_array(4 * 3).reshape(4, 3), requires_grad=True)
+    b = Tensor(rng.normal_array(3 * 5).reshape(3, 5), requires_grad=True)
+    bias = Tensor(rng.normal_array(5), requires_grad=True)
+    coef = rng.normal_array(4 * 5).reshape(4, 5)
+
+    def f():
+        return T.einsum("ij,ij->", T.einsum("ij,jk->ik", a, b, bias=bias), Tensor(coef))
+
+    out = T.einsum("ij,jk->ik", a, b, bias=bias)
+    assert np.array_equal(out.data, T.einsum("ij,jk->ik", a, b).data + bias.data)
+    f().backward()
+    for p in (a, b, bias):
+        assert max_rel_err(p.grad, fd_grad(f, p)) <= 1e-6
+
+
+@pytest.mark.parametrize("spec, shapes, bias_shape", [
+    ("ij,jk->ik", [(2, 3), (3, 4)], (2,)),      # bias over the first output axis
+    ("ij,jk->ik", [(2, 3), (3, 4)], (2, 4)),    # bias of the output's full shape
+    ("ij,ij->", [(2, 3), (2, 3)], (1,)),        # scalar output has no last axis
+])
+def test_einsum_rejects_a_bias_not_over_the_last_output_axis(spec, shapes, bias_shape):
+    with pytest.raises(ShapeMismatch):
+        T.einsum(spec, *(Tensor(np.ones(s)) for s in shapes), bias=Tensor(np.ones(bias_shape)))
 
 
 def test_conv3d_identity_kernel_exact():
@@ -163,7 +214,7 @@ def test_conv3d_weight_gradient_matches_finite_differences():
     coef = rng.normal_array(3 * 27).reshape(3, 3, 3, 3)
 
     def f():
-        return T.tsum(T.mul(T.conv3d(x, w, b, stride=(1, 1, 1)), Tensor(coef)))
+        return T.einsum("cwhd,cwhd->", T.conv3d(x, w, b, stride=(1, 1, 1)), Tensor(coef))
 
     f().backward()
     for p in (w, x, b):
@@ -178,7 +229,7 @@ def test_conv3d_stride_and_padding_gradient():
 
     def f():
         y = T.conv3d(x, w, b, stride=(2, 1, 2), padding=(1, 1, 1))
-        return T.tsum(T.mul(y, y))
+        return T.einsum("cwhd,cwhd->", y, y)
 
     f().backward()
     for p in (x, w, b):
@@ -213,7 +264,7 @@ def test_layer_norm_gradient():
     coef = rng.normal_array(12).reshape(3, 4)
 
     def f():
-        return T.tsum(T.mul(T.layer_norm(x, g, b), Tensor(coef)))
+        return T.einsum("ij,ij->", T.layer_norm(x, g, b), Tensor(coef))
 
     f().backward()
     for p in (x, g, b):
@@ -228,7 +279,7 @@ def test_instance_norm_gradient():
     coef = rng.normal_array(2 * 27).reshape(2, 3, 3, 3)
 
     def f():
-        return T.tsum(T.mul(T.instance_norm(x, g, b), Tensor(coef)))
+        return T.einsum("cwhd,cwhd->", T.instance_norm(x, g, b), Tensor(coef))
 
     f().backward()
     for p in (x, g, b):
@@ -265,7 +316,7 @@ def test_dropout_gradient():
     state = rng.state
 
     def f():
-        return T.tsum(T.mul(T.dropout(x, 0.3, training=True, rng=Rng.from_state(state)), x))
+        return T.einsum("i,i->", T.dropout(x, 0.3, training=True, rng=Rng.from_state(state)), x)
 
     f().backward()
     assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-5
@@ -273,20 +324,20 @@ def test_dropout_gradient():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    T.tsum(x).backward()
+    T.einsum("ij,ij->", x, Tensor(np.ones((2, 3)))).backward()
     assert np.all(x.grad == 1.0)
 
 
 def test_backward_square():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    T.tsum(T.mul(x, x)).backward()
+    T.einsum("i,i->", x, x).backward()
     assert x.grad.tolist() == [2.0, 4.0]
 
 
 def test_backward_accumulates_without_zero_grad():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    T.tsum(T.mul(x, x)).backward()
-    T.tsum(T.mul(x, x)).backward()
+    T.einsum("i,i->", x, x).backward()
+    T.einsum("i,i->", x, x).backward()
     assert x.grad.tolist() == [4.0, 8.0]
 
 
@@ -298,7 +349,7 @@ def test_backward_frees_graph_without_cyclic_gc():
     try:
         h = T.conv3d(x, w, T.zeros([2]), padding=(1, 1, 1))
         alive = weakref.ref(h.data)
-        loss = T.tsum(T.mul(h, h))
+        loss = T.einsum("cwhd,cwhd->", h, h)
         del h
         loss.backward()
         del loss
@@ -324,7 +375,7 @@ def test_backward_frees_intermediate_gradients():
     gc.disable()
     try:
         h = probe(T.mul(x, w))
-        T.tsum(T.mul(h, h)).backward()
+        T.einsum("i,i->", h, h).backward()
         assert len(seen) == 1 and seen[0]() is None
         assert h.grad is None
     finally:
@@ -348,8 +399,8 @@ def test_composite_gradients_small_graphs():
     def f():
         h = T.einsum("ij,jk->ik", a, c)
         h = T.leaky_relu(h, 0.01)
-        h = T.softmax(h)
-        return T.mul(T.tsum(T.mul(h, h)), Tensor(1.0 / h.size))
+        h, _ = T.attention(h, h, T.einsum("ij,jk->ik", h, c), 1, 0.5)
+        return T.mul(T.einsum("ij,ij->", h, h), Tensor(1.0 / h.size))
 
     f().backward()
     for p in (a, c):
@@ -365,7 +416,7 @@ def test_upsample_nearest_and_gradient():
     coef = rng.normal_array(out.size).reshape(out.shape)
 
     def f():
-        return T.tsum(T.mul(T.upsample_nearest(x, (2, 2, 2)), Tensor(coef)))
+        return T.einsum("cwhd,cwhd->", T.upsample_nearest(x, (2, 2, 2)), Tensor(coef))
 
     f().backward()
     assert max_rel_err(x.grad, fd_grad(f, x)) <= 1e-6
@@ -380,7 +431,7 @@ def test_upsample_nearest_gradient_matches_reshape_sum(factors):
     x = Tensor(rng.normal_array(c * w * h * d).reshape(c, w, h, d), requires_grad=True)
     out = T.upsample_nearest(x, factors)
     g = rng.normal_array(out.size).reshape(out.shape)
-    T.tsum(T.mul(out, Tensor(g))).backward()
+    T.einsum("cwhd,cwhd->", out, Tensor(g)).backward()
     ref = g.reshape(c, w, fw, h, fh, d, fd).sum(axis=(2, 4, 6))
     assert x.grad.shape == x.shape
     assert np.allclose(x.grad, ref, rtol=1e-12, atol=0)
@@ -395,7 +446,7 @@ def test_concat_and_row_selection_gradients():
     def f():
         cat = T.concat([a, b], axis=0)
         part = T.einsum("ri,ij->rj", rows_1_to_3, cat)
-        return T.tsum(T.mul(part, part))
+        return T.einsum("rj,rj->", part, part)
 
     f().backward()
     for p in (a, b):
@@ -407,7 +458,8 @@ def test_forward_determinism_bitwise():
         rng = Rng(123)
         x = Tensor(rng.normal_array(64).reshape(4, 16))
         w = T.init_uniform((16, 16), fan_in=16, rng=rng)
-        y = T.softmax(T.einsum("ij,jk->ik", x, w))
+        h = T.einsum("ij,jk->ik", x, w)
+        y, _ = T.attention(h, h, h, 4, 0.5)
         return T.dropout(y, 0.25, training=True, rng=rng).data
 
     assert np.array_equal(run(), run())
@@ -468,10 +520,10 @@ def test_gradient_of_a_tensor_used_twice():
     rng = Rng(71)
     x = Tensor(rng.normal_array(5), requires_grad=True)
     coef = rng.normal_array(5)
-    T.tsum(T.mul(T.add(x, x), Tensor(coef))).backward()
+    T.einsum("i,i->", T.add(x, x), Tensor(coef)).backward()
     assert np.array_equal(x.grad, 2.0 * coef)
     y = Tensor(rng.normal_array(5), requires_grad=True)
-    T.tsum(T.mul(y, y)).backward()
+    T.einsum("i,i->", y, y).backward()
     assert np.array_equal(y.grad, 2.0 * y.data)
 
 
@@ -482,9 +534,9 @@ def test_gradient_hand_off_never_aliases_two_leaves():
     a = Tensor(rng.normal_array(4), requires_grad=True)
     b = Tensor(rng.normal_array(4), requires_grad=True)
     c1, c2 = rng.normal_array(4), rng.normal_array(4)
-    T.tsum(T.mul(T.add(a, b), Tensor(c1))).backward()
+    T.einsum("i,i->", T.add(a, b), Tensor(c1)).backward()
     assert np.array_equal(a.grad, c1) and np.array_equal(b.grad, c1)
-    T.tsum(T.mul(a, Tensor(c2))).backward()
+    T.einsum("i,i->", a, Tensor(c2)).backward()
     assert np.array_equal(a.grad, c1 + c2)
     assert np.array_equal(b.grad, c1)
 

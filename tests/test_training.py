@@ -15,7 +15,7 @@ import pytest
 from gasaunet.backbone import make_backbone_config, build_model
 from gasaunet import tensor as T
 from gasaunet import training, worker
-from gasaunet.errors import InvalidEpoch, NonFiniteLoss, WorkerError, VersionMismatch
+from gasaunet.errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, WorkerError, VersionMismatch
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
@@ -57,6 +57,14 @@ def test_poly_lr_invalid_epoch():
         poly_lr(-1, 10, 0.01)
     with pytest.raises(InvalidEpoch):
         poly_lr(11, 10, 0.01)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr0", float("nan")), ("lr0", float("inf")), ("poly_exponent", float("nan")), ("poly_exponent", float("-inf")),
+])
+def test_train_config_rejects_a_non_finite_learning_rate_schedule(key, value):
+    with pytest.raises(InvalidConfig, match="finite"):
+        TrainConfig(**{key: value}).validate()
 
 
 def test_sgd_mu_zero_is_plain_sgd():
