@@ -31,6 +31,8 @@ class SlidingWindowConfig:
     tta_mirror: bool = False
 
     def validate(self) -> None:
+        if np.shape(self.patch_size) != (3,) or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.patch_size):
+            raise ValueError(f"patch_size must be 3 positive integers, got {self.patch_size!r}")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
         if not 0 < self.sigma_scale < np.inf:

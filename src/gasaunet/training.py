@@ -433,8 +433,8 @@ def _sample_draws(cfg: BackboneConfig) -> int:
 
 def _backprop_sample(model: GasaUNet, data: PreparedData, cfg: TrainConfig, rng: Rng, draws: int,
                      weight: Tensor) -> float:
-    """Draw one patch from rng, backpropagate weight * its loss into freshly
-    zeroed parameter gradients, and return the loss. Sample i of a step
+    """Draw one patch from rng, backpropagate weight * its loss, adding one
+    gradient to each parameter's, and return the loss. Sample i of a step
     starts its draws at the step's counter + i * draws, so a sample that
     consumes any other number raises."""
     start = rng.counter
@@ -443,7 +443,6 @@ def _backprop_sample(model: GasaUNet, data: PreparedData, cfg: TrainConfig, rng:
     loss = sample_loss(model, img, onehot, rng)
     if rng.counter - start != draws:
         raise RuntimeError(f"a training sample drew {rng.counter - start} random numbers, expected {draws}")
-    model.zero_grads()
     T.mul(loss, weight).backward()
     return loss.item()
 
@@ -454,25 +453,9 @@ def _views(flat: np.ndarray, named: list) -> list[np.ndarray]:
     return [flat[end - p.size : end].reshape(p.shape) for end, (_, p) in zip(ends, named)]
 
 
-def _sum_grads(samples: list[list[np.ndarray | None]], views: list[np.ndarray]) -> None:
-    """Each view <- its parameter's gradients summed over the samples, in
-    sample order; a missing gradient counts as 0."""
-    for j, v in enumerate(views):
-        v[...] = 0.0 if samples[0][j] is None else samples[0][j]
-        for grads in samples[1:]:
-            if grads[j] is not None:
-                v += grads[j]
-
-
 # ---------------------------------------------------------------------------
 # two-process batch
 # ---------------------------------------------------------------------------
-
-
-def _split_batch(batch: int) -> bool:
-    """Whether train() runs the samples of each step in two processes: a
-    batch of 2 or more where this process can run a worker (worker.usable)."""
-    return batch >= 2 and worker.usable()
 
 
 def _exchange(pair: worker.Worker, step: int, params: list[Tensor]) -> Tensor:
@@ -498,25 +481,26 @@ def _worker_steps(pair: worker.Worker, model_key: int, data_key: int, cfg: Train
         for row, views, i in zip(table, rows, samples):
             pair.note(f"sample {i} of epoch {epoch}, iteration {it}")
             rng = Rng(seed, counter + (step * cfg.batch + i) * draws)
+            model.zero_grads()
             row[-1] = _backprop_sample(model, data, cfg, rng, draws, Tensor(1.0 / cfg.batch))
-            _sum_grads([[p.grad for _, p in named]], views)
+            for v, (_, p) in zip(views, named):
+                v[...] = p.grad
         pair.post(step + 1)
 
 
 def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: dict[str, np.ndarray], rng: Rng,
                epochs: range, log_fh, samples: range, pair: worker.Worker | None) -> tuple[Rng, list[dict]]:
     """Every step of `epochs`, this process computing samples `samples` of
-    each, summing their gradients with those of the worker of `pair`, if
-    any, and taking every optimizer step; returns the RNG after the last
-    step and the per-epoch log, which goes to log_fh too unless it is
-    None."""
+    each, adding the gradients of the worker of `pair`, if any, to theirs
+    in sample order, and taking every optimizer step; returns the RNG after
+    the last step and the per-epoch log, which goes to log_fh too unless it
+    is None."""
     named = list(model.named_params())
     params = [p for _, p in named]
     draws = _sample_draws(model.cfg)
     weight = Tensor(1.0 / cfg.batch)
-    grads = np.empty(sum(p.size for _, p in named))
-    grad_views = _views(grads, named)
     table = None if pair is None else pair.shared.reshape(cfg.batch - len(samples), -1)   # see _worker_steps
+    rows = [] if pair is None else [_views(row, named) for row in table]
     log: list[dict] = []
     step = 0
     for epoch in epochs:
@@ -526,18 +510,15 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
         for it in range(cfg.iters_per_epoch):
             step += 1
             start = rng.counter
-            sample_losses, own = [], []
-            for i in samples:
-                sample_losses.append(_backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight))
-                own.append([p.grad for _, p in named])
-            _sum_grads(own, grad_views)
+            model.zero_grads()
+            sample_losses = [_backprop_sample(model, data, cfg, Rng(rng.seed, start + i * draws), draws, weight)
+                             for i in samples]
             if pair is not None:
                 _exchange(pair, step, params).backward()
-                for row in table:   # the same additions, in sample order, as _sum_grads
-                    grads += row[:-1]
+                for views in rows:
+                    for p, v in zip(params, views):
+                        p.accumulate_grad(v)
                 sample_losses += table[:, -1].tolist()
-            for p, g in zip(params, grad_views):
-                p.grad = g
             rng = Rng(rng.seed, start + cfg.batch * draws)
             batch_loss = sample_losses[0]
             for value in sample_losses[1:]:
@@ -545,8 +526,8 @@ def _step_loop(model: GasaUNet, data: PreparedData, cfg: TrainConfig, momentum: 
             loss_value = batch_loss * (1.0 / cfg.batch)
             if not math.isfinite(loss_value):
                 raise NonFiniteLoss(f"loss is {loss_value} at epoch {epoch}, iteration {it}")
-            if not np.isfinite(grads).all():
-                name = next(name for (name, _), g in zip(named, grad_views) if not np.isfinite(g).all())
+            name = next((name for name, p in named if not np.isfinite(p.grad).all()), None)
+            if name is not None:
                 raise NonFiniteLoss(f"gradient of parameter {name} is not finite at epoch {epoch}, iteration {it}")
             sgd_nesterov_step(named, momentum, lr, cfg.momentum)
             if pair is not None:
@@ -574,25 +555,28 @@ def train(
     run can be checkpointed and resumed on the identical trajectory. Returns
     the final checkpoint and the per-epoch log (epoch, lr, loss, seconds).
     Each sample's loss comes from sample_loss (float32 forward and
-    backward, float64 loss) and is backpropagated on its own; the batch
-    gradient is the sum of the samples' gradients in sample order, and
-    sample i of a step draws its random numbers from the step's RNG counter
-    + i * (draws per sample), as one sample after another would.
+    backward, float64 loss) and is backpropagated on its own; each backward
+    adds one gradient to every parameter's, so the batch gradient is the
+    sum of the samples' gradients in sample order, and sample i of a step
+    draws its random numbers from the step's RNG counter + i * (draws per
+    sample), as one sample after another would.
     With a batch of 2 or more, 2 or more steps in the call, and a process
     that can run a worker (worker.usable), the worker process (gasaunet.worker)
     computes samples [ceil(batch/2), batch) of each step and this process
-    the others and every optimizer step, both with one BLAS thread; the
-    result is bitwise the same. The worker outlives the call; the data must
-    not change in place between calls. A worker that fails raises WorkerError.
+    the others, adds the worker's gradients to its own after them, and takes
+    every optimizer step, both with one BLAS thread; the result is bitwise
+    the same. The worker outlives the call; the data must not change in
+    place between calls. A worker that fails raises WorkerError.
     A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
     gradient, naming the first such parameter, both before the optimizer
-    step; resume momentum that does not match the model's parameters by
-    name and shape raises VersionMismatch before the first step.
+    step. Resume momentum that does not match the model's parameters by
+    name and shape raises VersionMismatch, and a training case smaller
+    than cfg.patch_size on any axis ShapeMismatch, before the first step.
     Every step rebuilds buffers of the same shapes, so the first call sets
     the process's allocator to keep freed memory (tensor.keep_heap_resident):
     from then on the process's resident memory stays at its peak.
     """
-    return _train(model, data, cfg, resume, stop_epoch, log_path, _split_batch(cfg.batch))
+    return _train(model, data, cfg, resume, stop_epoch, log_path, worker.usable())
 
 
 def _train(
@@ -604,11 +588,15 @@ def _train(
     log_path: str | Path | None,
     split: bool,
 ) -> tuple[Checkpoint, list[dict]]:
-    """train(), in two processes when `split` and the call has 2 or more
-    steps, else in this one."""
+    """train(), in two processes when `split`, the batch is 2 or more and
+    the call has 2 or more steps, else in this one."""
     cfg.validate()
     if not data.train:
         raise ValueError("training split is empty")
+    for i, case in enumerate(data.train):
+        if any(have < want for have, want in zip(case.image.shape[1:], cfg.patch_size)):
+            raise ShapeMismatch(f"training case {i} has grid {case.image.shape[1:]}, smaller than the patch "
+                                f"{tuple(cfg.patch_size)}")
     keep_heap_resident()
     named = list(model.named_params())
     if resume is not None:
@@ -625,7 +613,7 @@ def _train(
     epochs = range(start_epoch, end_epoch)
     log_fh = open(log_path, "a") if log_path is not None else None
     try:
-        if split and len(epochs) * cfg.iters_per_epoch >= 2:
+        if split and cfg.batch >= 2 and len(epochs) * cfg.iters_per_epoch >= 2:
             half = (cfg.batch + 1) // 2
             floats = (cfg.batch - half) * (sum(p.size for _, p in named) + 1)   # see _worker_steps
             with worker.section([model, data], floats) as pair:

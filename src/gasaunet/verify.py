@@ -375,9 +375,9 @@ def check_training_processes(seed: int = 5) -> dict:
     batch 2, 3 and 4, in this process and again with samples [ceil(B/2), B)
     of each step in the worker process (a one-step call does not use it):
     per batch the loss, parameters, momentum and RNG state must be bitwise
-    equal. `path` says which way train() runs here; where it cannot use the
-    worker (training._split_batch), both runs stay in this process."""
-    from . import training
+    equal. `path` says which way train() runs here; where this process
+    cannot run a worker (worker.usable), both runs stay in this process."""
+    from . import training, worker
     from .backbone import build_model, make_backbone_config
     from .volume import NormStats
 
@@ -386,7 +386,7 @@ def check_training_processes(seed: int = 5) -> dict:
     labels = (rng.uniform_array(20 ** 3) * 3).astype(np.int64).reshape(20, 20, 20)
     case = training.PreparedCase(image, labels, labels.shape, labels, (1.0, 1.0, 1.0), labels.shape)
     data = training.PreparedData([case], [], NormStats(0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0), 3)
-    two = training._split_batch(2)
+    two = worker.usable()
     loss, same_loss, differ, same_rng = {}, {}, {}, True
     for batch in (2, 3, 4):
         cfg = training.TrainConfig(epochs=1, iters_per_epoch=2, batch=batch, patch_size=(16, 16, 16), seed=seed)

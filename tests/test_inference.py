@@ -53,6 +53,13 @@ def test_single_window_equals_plain_forward():
     assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("patch_size", [(0, 4, 4), (4, 4), 4.5, (4, 4, 4.5)])
+def test_sliding_window_rejects_a_patch_size_that_is_not_three_positive_integers(patch_size):
+    swc = SlidingWindowConfig(patch_size=patch_size)
+    with pytest.raises(ValueError, match="patch_size"):
+        sliding_window_predict(lambda x: np.zeros((2,) + x.shape[1:]), np.zeros((1, 6, 6, 6)), swc)
+
+
 @pytest.mark.parametrize("sigma_scale", [float("nan"), float("inf")])
 def test_sliding_window_rejects_a_non_finite_sigma_scale(sigma_scale):
     swc = SlidingWindowConfig(patch_size=(4, 4, 4), sigma_scale=sigma_scale)

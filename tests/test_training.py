@@ -15,7 +15,7 @@ import pytest
 from gasaunet.backbone import make_backbone_config, build_model
 from gasaunet import tensor as T
 from gasaunet import training, worker
-from gasaunet.errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, WorkerError, VersionMismatch
+from gasaunet.errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, WorkerError, VersionMismatch
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
 from gasaunet.training import (
@@ -397,6 +397,18 @@ def test_resume_momentum_mismatch_stops_before_the_first_step(edit):
         assert np.array_equal(p.data, before[name]), name
 
 
+def test_a_training_case_smaller_than_the_patch_stops_before_the_first_step():
+    data = tiny_data()
+    case = data.train[1]
+    case.image, case.labels = case.image[:, :, :7], case.labels[:, :7]
+    model = tiny_model()
+    before = {name: p.data.copy() for name, p in model.named_params()}
+    with pytest.raises(ShapeMismatch, match=r"training case 1 has grid \(12, 7, 12\), smaller than the patch \(8, 8, 8\)"):
+        train(model, data, tiny_train_cfg())
+    for name, p in model.named_params():
+        assert np.array_equal(p.data, before[name]), name
+
+
 def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
     ckpt = _saved_untrained_checkpoint(path)
@@ -427,7 +439,7 @@ def test_training_backward_runs_in_float32_and_parameters_stay_float64(monkeypat
 
     monkeypatch.setattr(T, "_node", recording_node)
     # in one process, so that this process records both samples' closures
-    monkeypatch.setattr(training, "_split_batch", lambda batch: False)
+    monkeypatch.setattr(worker, "usable", lambda: False)
     model = tiny_model()
     ckpt, _ = train(model, tiny_data(), TrainConfig(epochs=1, iters_per_epoch=1, batch=2, patch_size=(8, 8, 8)))
     convs = [r for r in received if r[0] == "conv3d"]
@@ -441,7 +453,7 @@ def test_training_backward_runs_in_float32_and_parameters_stay_float64(monkeypat
 
 # -- the samples of a step in two processes -------------------------------------
 
-two_processes = pytest.mark.skipif(not training._split_batch(2), reason="train() cannot fork a batch worker here")
+two_processes = pytest.mark.skipif(not worker.usable(), reason="this process cannot run a worker")
 
 
 def joint_graph_train(model, data, cfg):
@@ -502,6 +514,33 @@ def test_two_processes_are_bitwise_one_process(batch):
     one = training._train(tiny_model(), data, cfg, None, None, None, False)
     two = training._train(tiny_model(), data, cfg, None, None, None, True)
     assert_same_run(one, two)
+
+
+GASA_KINDS = [None] + [dict(pe_mode=pe, use_layer_norm=ln) for pe in ("none", "before", "after") for ln in (False, True)]
+
+
+@pytest.mark.parametrize("variant", ["base", "large"])
+@pytest.mark.parametrize("gasa", GASA_KINDS, ids=lambda kw: "bypass" if kw is None else f"{kw['pe_mode']}-ln{kw['use_layer_norm']:d}")
+def test_a_sample_backward_gives_every_parameter_one_gradient(monkeypatch, variant, gasa):
+    """A step adds each sample's gradient to p.grad as it arrives; that is
+    the sum over samples in sample order, in one process and in two, only
+    if no parameter receives two terms from one sample."""
+    kw = {} if gasa is None else dict(d_model=4, heads=2, dropout_p=0.5, **gasa)
+    cfg = make_backbone_config(1, 2, (4, 4, 4), stage_channels=(2, 3), gasa_enabled=gasa is not None, variant=variant,
+                               **kw)
+    model = build_model(cfg, Rng(5))
+    counts, real = {}, Tensor.accumulate_grad
+
+    def counting(self, g):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        real(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", counting)
+    rng = Rng(7)
+    labels = rng.uniform_array(4 ** 3).reshape(4, 4, 4) < 0.5
+    onehot = np.stack([~labels, labels]).astype(np.float64)
+    training.sample_loss(model, rng.normal_array(4 ** 3).reshape(1, 4, 4, 4), onehot, rng).backward()
+    assert {name: counts.get(id(p)) for name, p in model.named_params()} == {name: 1 for name, _ in model.named_params()}
 
 
 def mapping(model):
@@ -718,3 +757,15 @@ def test_a_one_step_call_runs_in_one_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert_same_run(train(tiny_model(), data, cfg, stop_epoch=1), want)
+
+
+def test_a_batch_of_one_runs_in_one_process(monkeypatch):
+    """A worker would get none of the samples of a batch of one."""
+    data, cfg = tiny_data(), split_cfg(batch=1)
+    want = training._train(tiny_model(), data, cfg, None, None, None, False)
+
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_same_run(training._train(tiny_model(), data, cfg, None, None, None, True), want)
