@@ -31,7 +31,8 @@ class SlidingWindowConfig:
     tta_mirror: bool = False
 
     def validate(self) -> None:
-        if np.shape(self.patch_size) != (3,) or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.patch_size):
+        if np.shape(self.patch_size) != (3,) or not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in self.patch_size):
             raise ValueError(f"patch_size must be 3 positive integers, got {self.patch_size!r}")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
@@ -126,9 +127,9 @@ def _mirror_sum(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, pa
     return preds[0]
 
 
-def _far_passes(pair: worker.Worker, key: int, volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
+def _far_passes(pair: worker.Worker, model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
     """The worker's job in mirror TTA: the sum of passes 4-7."""
-    return _mirror_sum(pair.model_fn(key), volume, swc, range(4, 8), pair.note)
+    return _mirror_sum(model, volume, swc, range(4, 8), pair.note)
 
 
 def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
@@ -140,9 +141,10 @@ def tta_mirror_predict(model: ModelFn, volume: np.ndarray, swc: SlidingWindowCon
     passes 4-7 while this one computes passes 0-3, both with one BLAS
     thread, and the two sums are added in the same tree order: the result
     is bitwise the one-process result, for a model whose output depends on
-    its input alone. The worker keeps its copy of the callable across calls
-    with that same object, reading a model's parameters from the mapping
-    they share; gasaunet.worker states what it does not see.
+    its input alone. The callable crosses to the worker by reference: the
+    worker keeps its copy across calls with that same object (a bound
+    method counts as its instance), reading a model's parameters from the
+    mapping they share; gasaunet.worker states what it does not see.
     """
     return _tta_mirror(model, volume, swc, worker.usable())
 
@@ -152,7 +154,7 @@ def _tta_mirror(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, sp
     if not split:
         return _mirror_sum(model, volume, swc, range(8)) / len(_FLIP_AXES)
     with worker.section([model]) as pair:
-        pair.submit(_far_passes, pair.key(model), volume, swc)
+        pair.submit(_far_passes, model, volume, swc)
         near = _mirror_sum(model, volume, swc, range(4))
         far = pair.result()
     return (near + far) / len(_FLIP_AXES)

@@ -17,7 +17,7 @@ import re
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +50,18 @@ class TrainConfig:
     poly_exponent: float = 0.9
 
     def validate(self) -> None:
+        whole = lambda n: isinstance(n, (int, np.integer)) and not isinstance(n, bool)  # noqa: E731
+        for name in ("epochs", "iters_per_epoch", "batch", "seed"):
+            if not whole(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.lr0 < math.inf or not 0 <= self.momentum < 1 or self.epochs < 1:
             raise InvalidConfig("need finite lr0 > 0, 0 <= momentum < 1, epochs >= 1")
         if not math.isfinite(self.poly_exponent):
             raise InvalidConfig(f"poly_exponent must be finite, got {self.poly_exponent}")
         if self.batch < 1 or self.iters_per_epoch < 1:
             raise InvalidConfig(f"need batch >= 1 and iters_per_epoch >= 1, got {self.batch}, {self.iters_per_epoch}")
-        if len(self.patch_size) != 3 or min(self.patch_size) < 1:
-            raise InvalidConfig(f"patch_size must hold 3 extents >= 1, got {tuple(self.patch_size)}")
+        if len(self.patch_size) != 3 or not all(whole(n) and n >= 1 for n in self.patch_size):
+            raise InvalidConfig(f"patch_size must hold 3 integer extents >= 1, got {tuple(self.patch_size)}")
 
 
 def poly_lr(epoch: int, epoch_max: int, lr0: float, exponent: float = 0.9) -> float:
@@ -464,13 +468,12 @@ def _exchange(pair: worker.Worker, step: int, params: list[Tensor]) -> Tensor:
     return T._node(np.zeros(()), params, lambda _g: pair.wait(step))
 
 
-def _worker_steps(pair: worker.Worker, model_key: int, data_key: int, cfg: TrainConfig, rng_state: tuple[int, int],
+def _worker_steps(pair: worker.Worker, model: GasaUNet, data: PreparedData, cfg: TrainConfig, rng_state: tuple[int, int],
                   epochs: range, samples: range) -> None:
     """The worker's side of a two-process train() call. Each step, once the
     parent has posted the one before (and stepped the parameters the two
     share), it backpropagates `samples`, writes each one's n gradients and
     loss into a row of `pair.shared`, [len(samples), n + 1], and posts."""
-    model, data = pair.objects[model_key], pair.objects[data_key]
     named = list(model.named_params())
     draws = _sample_draws(model.cfg)
     table = pair.shared.reshape(len(samples), -1)
@@ -591,6 +594,8 @@ def _train(
     """train(), in two processes when `split`, the batch is 2 or more and
     the call has 2 or more steps, else in this one."""
     cfg.validate()
+    cfg = replace(cfg, epochs=int(cfg.epochs), iters_per_epoch=int(cfg.iters_per_epoch), batch=int(cfg.batch),
+                  seed=int(cfg.seed), patch_size=tuple(map(int, cfg.patch_size)))   # a NumPy integer would overflow
     if not data.train:
         raise ValueError("training split is empty")
     for i, case in enumerate(data.train):
@@ -617,7 +622,7 @@ def _train(
             half = (cfg.batch + 1) // 2
             floats = (cfg.batch - half) * (sum(p.size for _, p in named) + 1)   # see _worker_steps
             with worker.section([model, data], floats) as pair:
-                pair.submit(_worker_steps, pair.key(model), pair.key(data), cfg, rng.state, epochs, range(half, cfg.batch))
+                pair.submit(_worker_steps, model, data, cfg, rng.state, epochs, range(half, cfg.batch))
                 rng, log = _step_loop(model, data, cfg, momentum, rng, epochs, log_fh, range(half), pair)
                 pair.result()
         else:

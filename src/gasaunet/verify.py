@@ -412,9 +412,10 @@ def check_tta_processes(seed: int = 5) -> dict:
     """Mirror TTA of the default 16^3 model on a random 20^3 volume (8
     tiles per pass), computed in this process and again with passes 4-7 in
     the worker process: the probability maps must be bitwise equal, for the
-    bound predict_logits, for a closure over the model, and for that closure
-    again after an in-place optimizer step on the model, which the same
-    worker must see. `path` says which way tta_mirror_predict itself runs
+    bound predict_logits, for a bound method of another object that calls
+    the model, for a closure over the model, and for that closure again
+    after an in-place optimizer step on the model, which the same worker
+    must see. `path` says which way tta_mirror_predict itself runs
     here; where this process cannot run a worker (worker.usable), both runs
     stay in this process."""
     from . import inference, worker
@@ -428,7 +429,13 @@ def check_tta_processes(seed: int = 5) -> dict:
     two = worker.usable()
     same = lambda fn: _same_bits(*(inference._tta_mirror(fn, volume, swc, s) for s in (False, two)))  # noqa: E731
     closure = lambda x: model.predict_logits(x)  # noqa: E731
-    same_bits = {"predict_logits": same(model.predict_logits), "closure": same(closure)}
+
+    class Holder:
+        def predict(self, x):
+            return model.predict_logits(x)
+
+    same_bits = {"predict_logits": same(model.predict_logits), "bound method of another object": same(Holder().predict),
+                 "closure": same(closure)}
     named = list(model.named_params())
     for _, p in named:
         p.grad = rng.normal_array(p.size).reshape(p.shape)

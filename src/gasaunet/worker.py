@@ -1,8 +1,8 @@
 """One worker process that shares the work of training steps and mirror TTA.
 
 The worker is forked on the first call that can use it and outlives that
-call. Its jobs are module-level functions that it runs on its copies of the
-objects the job names: samples [ceil(B/2), B) of a train() call's steps
+call. Its jobs are module-level functions that it runs on the objects a
+job is given: samples [ceil(B/2), B) of a train() call's steps
 (training._worker_steps), whose gradients and losses it writes into
 `Worker.shared`, and mirror passes 4-7 of one volume
 (inference._far_passes), whose sum it sends back. The mapping the two
@@ -16,15 +16,15 @@ writes them: in train() the worker computes step k after the parent has
 posted step k-1, and the parent steps after the worker has posted k.
 
 Reuse. The fork registers the objects of its call: the GasaUNet and
-PreparedData of a train() call, the model callables of a TTA call (a bound
-predict_logits counts as its GasaUNet, any other object as itself, by `is`).
-The worker holds the GasaUNets they reach: each one named, the `__self__` of
-a bound method, and those among a Python function's closure cells and the
-globals it names. A later call reuses the worker if every object it names is
-registered and reaches the same models, and a train() call if the worker
-has as many shared float64s as it asks for; any other call (a closure cell
-or global rebound to another model, say) forks a fresh worker. The
-registry keeps all of them alive, so no id is reused.
+PreparedData of a train() call, the model callables of a TTA call; a bound
+method counts as its instance, any other object as itself, by `is`. They
+cross to the worker by reference, as its forked copies (a bound method as
+getattr(copy, name)); the rest of a job crosses by value. A later call
+reuses the worker if every object it names is registered and a Python
+function among them reaches the same GasaUNets through its closure cells and
+the globals it names, and a train() call if the worker has as many shared
+float64s as it asks for; any other call forks a fresh worker. The registry
+keeps all of them alive, so no id is reused.
 
 The one rule: parameters are written in place, never rebound, and nothing
 else of a registered object changes between calls (the data of a train()
@@ -33,11 +33,12 @@ call, an attribute of a callable object); pass a new object, or call
 
 Between jobs the worker blocks on a pipe; it exits on EOF (the parent
 died) and ignores SIGINT. `close()`, also run at exit, reaps it, and so
-does any exception inside a two-process section. A job that raises replies
-with a WorkerError naming the sample or mirror pass, traceback as a note,
-which the parent raises; a worker that dies raises WorkerError naming its
-note. BLAS runs one thread in the worker, and in the parent inside a
-`section`. The worker is forked, not spawned: a closure cannot be pickled.
+does any exception inside a two-process section. A job that raises, or
+that the worker cannot unpickle, replies with a WorkerError naming the
+sample, the mirror pass or the unpickling, traceback as a note, which the
+parent raises; a worker that dies raises WorkerError naming its note.
+BLAS runs one thread in the worker, and in the parent inside a `section`.
+The worker is forked, not spawned: a closure cannot be pickled.
 """
 
 from __future__ import annotations
@@ -103,22 +104,12 @@ def usable() -> bool:
     )
 
 
-def _stands_for(obj):
-    """The GasaUNet of a bound predict_logits, else the object itself."""
-    owner = getattr(obj, "__self__", None)
-    if isinstance(owner, GasaUNet) and getattr(obj, "__func__", None) is GasaUNet.predict_logits:
-        return owner
-    return obj
-
-
 def _held(obj) -> tuple:
-    """The GasaUNets a registered object reaches (see the module docstring)."""
-    if inspect.isfunction(obj):
-        found = inspect.getclosurevars(obj)
-        reached = [*found.nonlocals.values(), *found.globals.values()]
-    else:
-        reached = [obj.__self__ if inspect.ismethod(obj) else obj]
-    return tuple(m for m in reached if isinstance(m, GasaUNet))
+    """The GasaUNets among a registered Python function's closure cells and the globals it names."""
+    if not inspect.isfunction(obj):
+        return ()
+    found = inspect.getclosurevars(obj)
+    return tuple(m for m in (*found.nonlocals.values(), *found.globals.values()) if isinstance(m, GasaUNet))
 
 
 class Worker:
@@ -167,9 +158,9 @@ class Worker:
     # -- the parent -------------------------------------------------------------
 
     def serves(self, objects: list, floats: int) -> bool:
-        """Whether a call naming `objects` (mapped by _stands_for) and asking for
+        """Whether a call naming `objects` (bound methods as their instances) and asking for
         `floats` shared float64s (0: none) may use this worker; reaps one that exited."""
-        known = all(self.objects.get(id(o)) is o and _held(o) == self.held[id(o)] for o in objects)
+        known = all(id(o) in self.objects and _held(o) == self.held[id(o)] for o in objects)
         if not known or (floats and floats != self.shared.size):
             return False
         if os.waitpid(self.pid, os.WNOHANG)[0]:
@@ -177,18 +168,16 @@ class Worker:
             return False
         return True
 
-    @staticmethod
-    def key(obj) -> int:
-        """The key under which the worker finds `obj` in `objects`."""
-        return id(_stands_for(obj))
-
     def submit(self, fn, *args) -> None:
         """Start fn(worker, *args) in the worker; `result` returns what it
         returns. fn must be a module-level function (it is pickled by
-        name); objects go as keys."""
+        name). A registered object in args arrives as the worker's copy of
+        it, a bound method of one as the copy's; the rest is pickled."""
         self.flags[:] = 0
+        job = pickle.Pickler(self._jobs, pickle.HIGHEST_PROTOCOL)
+        job.persistent_id = lambda obj: id(obj) if id(obj) in self.objects else None
         try:
-            pickle.dump((fn, args), self._jobs, pickle.HIGHEST_PROTOCOL)
+            job.dump((fn, args))
             self._jobs.flush()
         except OSError:   # the worker is gone
             self._died()
@@ -246,26 +235,20 @@ class Worker:
         self.note_room[: len(data)] = np.frombuffer(data, np.uint8)
         self.flags[_NOTE_BYTES] = len(data)
 
-    def model_fn(self, key: int):
-        """The model callable a TTA job names."""
-        obj = self.objects[key]
-        return obj.predict_logits if isinstance(obj, GasaUNet) else obj
-
     def _serve(self, jobs, replies) -> None:
         """The worker's life: run jobs until the parent closes the pipe or
-        dies, then leave with os._exit. A job that raises replies with its
-        WorkerError, whole, and ends the process."""
+        dies, then leave with os._exit. A job that raises, or cannot be
+        unpickled, replies with its WorkerError, whole, and ends the process."""
         code, self.me = 1, 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's KeyboardInterrupt reaps this process
             openblas_threads()[1](1)
-            while True:
+            while jobs.peek(1):   # b"" once the parent has closed the pipe or died
+                job = pickle.Unpickler(jobs)
+                job.persistent_load = self.objects.__getitem__
+                self.note("unpickling the job")
                 try:
-                    fn, args = pickle.load(jobs)
-                except EOFError:
-                    code = 0
-                    break
-                try:
+                    fn, args = job.load()
                     reply = fn(self, *args)
                 except BaseException as exc:
                     doing = bytes(self.note_room[: self.flags[_NOTE_BYTES]]).decode(errors="replace")
@@ -276,6 +259,8 @@ class Worker:
                 replies.flush()
                 if isinstance(reply, WorkerError):
                     break
+            else:
+                code = 0
         finally:
             os._exit(code)
 
@@ -301,11 +286,11 @@ def section(objects: list, floats: int = 0):
 
 def _acquire(objects: list, floats: int) -> Worker:
     global _current
-    keys = list({id(k): k for k in map(_stands_for, objects)}.values())
-    if _current is not None and not _current.serves(keys, floats):
+    objects = [o.__self__ if inspect.ismethod(o) else o for o in objects]   # a bound method counts as its instance
+    if _current is not None and not _current.serves(objects, floats):
         close()
     if _current is None:
-        _current = Worker(keys, floats)
+        _current = Worker(objects, floats)
     return _current
 
 

@@ -53,7 +53,7 @@ def test_single_window_equals_plain_forward():
     assert np.allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("patch_size", [(0, 4, 4), (4, 4), 4.5, (4, 4, 4.5)])
+@pytest.mark.parametrize("patch_size", [(0, 4, 4), (4, 4), 4.5, (4, 4, 4.5), (4, 4, True)])
 def test_sliding_window_rejects_a_patch_size_that_is_not_three_positive_integers(patch_size):
     swc = SlidingWindowConfig(patch_size=patch_size)
     with pytest.raises(ValueError, match="patch_size"):

@@ -67,6 +67,25 @@ def test_train_config_rejects_a_non_finite_learning_rate_schedule(key, value):
         TrainConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize("change", [
+    dict(patch_size=(8, 8, 8.5)), dict(patch_size=(8, 8, True)), dict(batch=2.5), dict(batch=True),
+    dict(iters_per_epoch=1.5), dict(epochs=2.5), dict(seed=1.5), dict(seed=np.float64(5)),
+], ids=repr)
+def test_train_config_rejects_a_count_that_is_not_an_integer(change):
+    cfg = TrainConfig(**{**vars(split_cfg()), **change})
+    with pytest.raises(InvalidConfig, match="integer"):
+        train(tiny_model(), tiny_data(), cfg)
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), iters_per_epoch=np.int32(3), batch=np.uint8(2),
+                      patch_size=tuple(np.full(3, 8)), seed=np.int16(5))
+    cfg.validate()
+    data = tiny_data()
+    assert_same_run(training._train(tiny_model(), data, cfg, None, None, None, False),
+                    training._train(tiny_model(), data, split_cfg(), None, None, None, False))
+
+
 def test_sgd_mu_zero_is_plain_sgd():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     p.grad = np.array([0.5, -0.5])
@@ -514,6 +533,25 @@ def test_two_processes_are_bitwise_one_process(batch):
     one = training._train(tiny_model(), data, cfg, None, None, None, False)
     two = training._train(tiny_model(), data, cfg, None, None, None, True)
     assert_same_run(one, two)
+
+
+@two_processes
+def test_the_worker_rows_are_added_in_sample_order(monkeypatch):
+    """Samples 2 and 3 of a batch of 4 are the worker's. Samples 0 and 2
+    are scaled by +-2^24, so that their terms cancel, and sample 3 by 2^-20:
+    the sum keeps bits of sample 3's terms that it would round away if the
+    worker's rows or losses were added in another order."""
+    real, draws = training.sample_loss, training._sample_draws(tiny_model().cfg)
+    scales = (2.0 ** 24, 1.0, -2.0 ** 24, 2.0 ** -20)
+
+    def scaled(model, img, onehot, rng):
+        i = ((rng.counter - 4) // draws) % 4   # the sample's place in its step: 4 draws precede this call
+        return T.mul(real(model, img, onehot, rng), Tensor(scales[i]))
+
+    monkeypatch.setattr(training, "sample_loss", scaled)
+    data, cfg = tiny_data(), split_cfg(batch=4)
+    one = training._train(tiny_model(), data, cfg, None, None, None, False)
+    assert_same_run(training._train(tiny_model(), data, cfg, None, None, None, True), one)
 
 
 GASA_KINDS = [None] + [dict(pe_mode=pe, use_layer_norm=ln) for pe in ("none", "before", "after") for ln in (False, True)]

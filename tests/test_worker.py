@@ -219,8 +219,10 @@ class _Predictor:
     def __init__(self, model):
         self.model = model
 
-    def __call__(self, x):
+    def predict(self, x):
         return self.model.predict_logits(x)
+
+    __call__ = predict
 
 
 @two_processes
@@ -240,6 +242,50 @@ def test_a_model_reached_through_another_object_is_current_after_an_in_place_ste
     assert worker_pid() == pid
     assert got.tobytes() != before.tobytes()
     assert got.tobytes() == serial_tta(fn, vol).tobytes()
+
+
+@two_processes
+def test_a_bound_method_counts_as_its_instance():
+    """Each attribute access makes a new method object; its instance stays."""
+    model, vol = tiny_model(), volume()
+    predictor = _Predictor(model)
+    want = serial_tta(predictor.predict, vol)
+    pids = set()
+    for _ in range(3):
+        assert inference.tta_mirror_predict(predictor.predict, vol, SWC).tobytes() == want.tobytes()
+        pids.add(worker_pid())
+    assert len(pids) == 1 and None not in pids
+
+
+def _ids(pair, *objects):
+    """A job: the ids of the objects it is given, in the worker."""
+    return [id(o) for o in objects]
+
+
+@two_processes
+def test_registered_objects_cross_by_reference_and_the_rest_by_value():
+    model, data, vol = tiny_model(), tiny_data(), volume()
+    closure = lambda x: model.predict_logits(x)  # noqa: E731
+    with worker.section([model, data, closure]) as pair:
+        pair.submit(_ids, model, data, closure, vol)
+        got = pair.result()
+    assert got[:3] == [id(model), id(data), id(closure)]
+    assert got[3] != id(vol)   # the worker's copy of the parent's vol is alive, so an unpickled one has another id
+
+
+class _Unnamed:
+    """Its method's name, "<lambda>", is not an attribute of the instance."""
+    predict = lambda self, x: np.stack([x[0], -x[0]])  # noqa: E731
+
+
+@two_processes
+def test_a_job_the_worker_cannot_unpickle_raises_naming_the_cause(monkeypatch):
+    """A bound method crosses as getattr(instance, its name)."""
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(WorkerError, match=r"^unpickling the job raised in the worker: AttributeError: .*'<lambda>'"):
+        inference.tta_mirror_predict(_Unnamed().predict, volume(), SWC)
+    assert worker._current is None
+    assert_reaped(pids)
 
 
 @two_processes
