@@ -17,9 +17,9 @@ posted step k-1, and the parent steps after the worker has posted k.
 
 Reuse. The fork registers the objects of its call: the GasaUNet and
 PreparedData of a train() call, the model callables of a TTA call; a bound
-method counts as its instance, any other object as itself, by `is`. They
-cross to the worker by reference, as its forked copies (a bound method as
-getattr(copy, name)); the rest of a job crosses by value. A later call
+method counts as its instance if getattr(instance, its name) gives it back,
+any other object as itself, by `is`. They cross to the worker by reference,
+as its forked copies; the rest of a job crosses by value. A later call
 reuses the worker if every object it names is registered and a Python
 function among them reaches the same GasaUNets through its closure cells and
 the globals it names, and a train() call if the worker has as many shared
@@ -33,12 +33,11 @@ call, an attribute of a callable object); pass a new object, or call
 
 Between jobs the worker blocks on a pipe; it exits on EOF (the parent
 died) and ignores SIGINT. `close()`, also run at exit, reaps it, and so
-does any exception inside a two-process section. A job that raises, or
-that the worker cannot unpickle, replies with a WorkerError naming the
-sample, the mirror pass or the unpickling, traceback as a note, which the
-parent raises; a worker that dies raises WorkerError naming its note.
-BLAS runs one thread in the worker, and in the parent inside a `section`.
-The worker is forked, not spawned: a closure cannot be pickled.
+does any exception inside a two-process section. A job that raises replies
+with a WorkerError naming the sample or mirror pass, traceback as a note,
+which the parent raises; a worker that dies raises WorkerError naming its
+note. BLAS runs one thread in the worker, and in the parent inside a
+`section`. The worker is forked, not spawned: a closure cannot be pickled.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class Worker:
     # -- the parent -------------------------------------------------------------
 
     def serves(self, objects: list, floats: int) -> bool:
-        """Whether a call naming `objects` (bound methods as their instances) and asking for
+        """Whether a call naming `objects` (mapped as in _acquire) and asking for
         `floats` shared float64s (0: none) may use this worker; reaps one that exited."""
         known = all(id(o) in self.objects and _held(o) == self.held[id(o)] for o in objects)
         if not known or (floats and floats != self.shared.size):
@@ -237,8 +236,8 @@ class Worker:
 
     def _serve(self, jobs, replies) -> None:
         """The worker's life: run jobs until the parent closes the pipe or
-        dies, then leave with os._exit. A job that raises, or cannot be
-        unpickled, replies with its WorkerError, whole, and ends the process."""
+        dies, then leave with os._exit. A job that raises replies with its
+        WorkerError, whole, and ends the process."""
         code, self.me = 1, 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's KeyboardInterrupt reaps this process
@@ -246,9 +245,8 @@ class Worker:
             while jobs.peek(1):   # b"" once the parent has closed the pipe or died
                 job = pickle.Unpickler(jobs)
                 job.persistent_load = self.objects.__getitem__
-                self.note("unpickling the job")
+                fn, args = job.load()
                 try:
-                    fn, args = job.load()
                     reply = fn(self, *args)
                 except BaseException as exc:
                     doing = bytes(self.note_room[: self.flags[_NOTE_BYTES]]).decode(errors="replace")
@@ -286,7 +284,8 @@ def section(objects: list, floats: int = 0):
 
 def _acquire(objects: list, floats: int) -> Worker:
     global _current
-    objects = [o.__self__ if inspect.ismethod(o) else o for o in objects]   # a bound method counts as its instance
+    # a bound method counts as its instance if getattr(instance, its name) gives it back: that is how it pickles
+    objects = [o.__self__ if inspect.ismethod(o) and o == getattr(o.__self__, o.__name__, None) else o for o in objects]
     if _current is not None and not _current.serves(objects, floats):
         close()
     if _current is None:

@@ -273,19 +273,40 @@ def test_registered_objects_cross_by_reference_and_the_rest_by_value():
     assert got[3] != id(vol)   # the worker's copy of the parent's vol is alive, so an unpickled one has another id
 
 
+def _unwrapped(method):
+    """A decorator without functools.wraps: the method's __name__ is "wrapper"."""
+    def wrapper(self, x):
+        return method(self, x)
+    return wrapper
+
+
 class _Unnamed:
-    """Its method's name, "<lambda>", is not an attribute of the instance."""
-    predict = lambda self, x: np.stack([x[0], -x[0]])  # noqa: E731
+    """Bound methods whose __name__ is not the attribute they are found under."""
+    def __init__(self, model):
+        self.model = model
+
+    by_lambda = lambda self, x: self.model.predict_logits(x)  # noqa: E731
+
+    @_unwrapped
+    def by_wrapper(self, x):
+        return self.model.predict_logits(x)
+
+    def __mangled(self, x):
+        return self.model.predict_logits(x)
+
+    def mangled(self):
+        return self.__mangled
 
 
 @two_processes
-def test_a_job_the_worker_cannot_unpickle_raises_naming_the_cause(monkeypatch):
-    """A bound method crosses as getattr(instance, its name)."""
-    pids = forked_pids(monkeypatch)
-    with pytest.raises(WorkerError, match=r"^unpickling the job raised in the worker: AttributeError: .*'<lambda>'"):
-        inference.tta_mirror_predict(_Unnamed().predict, volume(), SWC)
-    assert worker._current is None
-    assert_reaped(pids)
+@pytest.mark.parametrize("how", ["lambda class attribute", "decorator without wraps", "name-mangled"])
+def test_a_bound_method_not_found_under_its_name_crosses_as_itself(how):
+    """getattr(instance, __name__) would not find it, so it is registered as itself."""
+    unnamed, vol = _Unnamed(tiny_model()), volume()
+    fn = {"lambda class attribute": unnamed.by_lambda, "decorator without wraps": unnamed.by_wrapper,
+          "name-mangled": unnamed.mangled()}[how]
+    assert inference.tta_mirror_predict(fn, vol, SWC).tobytes() == serial_tta(fn, vol).tobytes()
+    assert worker_pid() is not None
 
 
 @two_processes
