@@ -5,7 +5,10 @@ Configuration comes from built-in defaults, optionally a JSON config file
 precedence. A flag that sets a config value has that value's dotted path as
 its argparse dest: `--iters` sets `train.iters_per_epoch`. Every command is
 deterministic given config + seed; outputs go to the --out directory. Exit
-codes: 0 ok, 1 usage, 2 runtime failure, 3 verification failure.
+codes: 0 ok, 1 usage, 2 runtime failure, 3 verification failure. `main`
+checks the paths a command needs, resolves the config, answers
+--print-config and makes --out, then calls the command; verify takes none
+of these.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .backbone import build_model, count_model_params, make_backbone_config
-from .errors import GasaUNetError, VersionMismatch
+from .errors import GasaUNetError, ShapeMismatch, VersionMismatch
 from .gasa import PE_MODES
 from .inference import SlidingWindowConfig, evaluate_split
 from .metrics import kits_hec
@@ -30,7 +33,6 @@ from .training import (
     eval_fingerprint,
     load_checkpoint,
     model_from_checkpoint,
-    prepared_from_manifest_path,
     preprocess_manifest,
     save_checkpoint,
     train,
@@ -119,7 +121,7 @@ def _checked(value, default, where: str, element: bool = False):
 
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -134,21 +136,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is not None and key in node:
             node[key] = _checked(value, node[key], dest)
     return cfg
-
-
-def _maybe_print_config(args, cfg) -> bool:
-    if getattr(args, "print_config", False):
-        print(json.dumps(cfg, sort_keys=True, indent=1))
-        return True
-    return False
-
-
-def _out_dir(args) -> Path:
-    if not getattr(args, "out", None):
-        raise UsageError("--out is required")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _model_config_from(cfg: dict, patch: tuple[int, int, int], num_classes: int):
@@ -185,16 +172,20 @@ def _train_config_from(cfg: dict, schedule: dict) -> TrainConfig:
     return tcfg
 
 
+def _first_difference(want, have, path: str) -> str | None:
+    """The dotted path of the first value in `want` that `have` lacks or holds otherwise, else None."""
+    if not (isinstance(want, dict) and isinstance(have, dict)):
+        return None if want == have else path
+    found = (_first_difference(v, have.get(k), f"{path}.{k}".lstrip(".")) for k, v in want.items())
+    return next((where for where in found if where is not None), None)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
-    out = _out_dir(args)
+def cmd_synth(args, cfg: dict, out: Path) -> int:
     p = cfg["phantom"]
     spec = PhantomSpec(
         size=(p["size"],) * 3,
@@ -209,14 +200,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
-    out = _out_dir(args)
+def cmd_train(args, cfg: dict, out: Path) -> int:
     tcfg = _train_config_from(cfg, cfg["train"])
     patch = tcfg.patch_size
-    data = prepared_from_manifest_path(args.data, patch)
+    data = preprocess_manifest(*load_manifest(args.data), patch)
     model_cfg = _model_config_from(cfg, patch, data.num_classes)
     model = build_model(model_cfg, Rng(cfg["seed"]))
     print(f"training {model_cfg.variant} model, {count_model_params(model_cfg)} parameters, "
@@ -249,11 +236,7 @@ def _fmt(v) -> str:
     return "n/a" if v is None else f"{v:.2f}"
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
-    out = _out_dir(args)
+def cmd_eval(args, cfg: dict, out: Path) -> int:
     ckpts = [load_checkpoint(p) for p in args.ckpt]
     models = [model_from_checkpoint(c) for c in ckpts]
     # an ensemble is preprocessed once, so its members must agree on how
@@ -266,6 +249,11 @@ def cmd_eval(args) -> int:
                 )
     patch, stats, spacing = fingerprints[0]
     manifest, root = load_manifest(args.data)
+    classes = manifest["spec"]["num_classes"]
+    for path, ckpt in zip(args.ckpt, ckpts):
+        if ckpt.backbone.num_classes != classes:
+            raise ShapeMismatch(f"{path}: checkpoint predicts {ckpt.backbone.num_classes} classes, "
+                                f"but the dataset {args.data} has {classes}")
     # preprocess with the training-time fingerprint, not one recomputed here
     data = preprocess_manifest(manifest, root, patch, stats=stats, spacing=spacing)
 
@@ -276,13 +264,8 @@ def cmd_eval(args) -> int:
     )
 
     scaled = {
-        "cases": [
-            {
-                "dice": {k: None if v is None else 100.0 * v for k, v in c["dice"].items()},
-                "nsd": {k: None if v is None else 100.0 * v for k, v in c["nsd"].items()},
-            }
-            for c in result["cases"]
-        ],
+        "cases": [{metric: {k: None if v is None else 100.0 * v for k, v in c[metric].items()}
+                   for metric in ("dice", "nsd")} for c in result["cases"]],
         "summary": result["report"].to_dict(scale=100.0),
         "tta": bool(cfg["eval"]["tta"]),
         "tau": cfg["eval"]["tau"],
@@ -294,24 +277,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
-    out = _out_dir(args)
+def cmd_ablate(args, cfg: dict, out: Path) -> int:
     tcfg = _train_config_from(cfg, cfg["ablate"])
     patch = tcfg.patch_size
-    data = prepared_from_manifest_path(args.data, patch)
-
     sweep = cfg["ablate"]
-    cells = [(heads, dmodel, pe) for heads, dmodel in sweep["grid"] for pe in sweep["pe_modes"]]
-    results = []
-    for heads, dmodel, pe in cells:
-        cell_name = f"h{heads}_d{dmodel}_pe-{pe}"
-        cell_path = out / f"{cell_name}.json"
+    cells = [(out / f"h{heads}_d{dmodel}_pe-{pe}.json", heads, dmodel, pe)
+             for heads, dmodel in sweep["grid"] for pe in sweep["pe_modes"]]
+    # a cell file is reused only if it was made with this config and dataset
+    made_with = {"config": cfg, "data": str(Path(args.data).resolve())}
+    cached = {}
+    for cell_path, *_ in cells:
         if cell_path.exists():
-            results.append(json.loads(cell_path.read_text()))
-            print(f"{cell_name}: cached")
+            stored = json.loads(cell_path.read_text())
+            key = _first_difference(made_with, stored if isinstance(stored, dict) else {}, "")
+            if key is not None:
+                raise UsageError(f"{cell_path}: cached cell does not record this run's {key}; "
+                                 "delete it or choose another --out")
+            cached[cell_path] = stored["result"]
+    data = preprocess_manifest(*load_manifest(args.data), patch)
+
+    results = []
+    for cell_path, heads, dmodel, pe in cells:
+        if cell_path in cached:
+            results.append(cached[cell_path])
+            print(f"{cell_path.stem}: cached")
             continue
         run_cfg = copy.deepcopy(cfg)
         run_cfg["model"].update(heads=heads, dmodel=dmodel, pe=pe)
@@ -327,9 +316,9 @@ def cmd_ablate(args) -> int:
             "dice": None if res["report"].mean_dice is None else 100.0 * res["report"].mean_dice,
             "params": count_model_params(model_cfg),
         }
-        cell_path.write_text(json.dumps(entry, sort_keys=True) + "\n")
+        cell_path.write_text(json.dumps({**made_with, "result": entry}, sort_keys=True) + "\n")
         results.append(entry)
-        print(f"{cell_name}: dice {_fmt(entry['dice'])} params {entry['params']}")
+        print(f"{cell_path.stem}: dice {_fmt(entry['dice'])} params {entry['params']}")
 
     table_path = out / "ablation.json"
     table_path.write_text(json.dumps(results, sort_keys=True, indent=1) + "\n")
@@ -342,7 +331,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(perturb_gradients=getattr(args, "perturb_gradient", False))
+    results = verify_mod.run_all(perturb_gradients=args.perturb_gradient)
     all_ok = True
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
@@ -387,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", dest="phantom.classes", type=int)
     p.add_argument("--size", dest="phantom.size", type=int)
     p.add_argument("--noise", dest="phantom.noise_sigma", type=float)
-    p.set_defaults(fn=cmd_synth)
+    p.set_defaults(fn=cmd_synth, needs=[])
 
     p = sub.add_parser("train", help="preprocess and train")
     _add_common(p)
@@ -402,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", dest="train.iters_per_epoch", type=int)
     p.add_argument("--batch", dest="train.batch", type=int)
     p.add_argument("--patch", dest="train.patch", type=int)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, needs=["data"])
 
     p = sub.add_parser("eval", help="sliding-window evaluation of checkpoint(s)")
     _add_common(p)
@@ -411,13 +400,13 @@ def build_parser() -> _Parser:
     p.add_argument("--tta", dest="eval.tta", action="store_const", const=True)
     p.add_argument("--hec", dest="eval.hec", choices=["none", "kits"])
     p.add_argument("--tau", dest="eval.tau", type=float)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, needs=["ckpt", "data"])
 
     p = sub.add_parser("ablate", help="heads/dim x positional-embedding sweep")
     _add_common(p)
     p.add_argument("--data", required=False)
     p.add_argument("--epochs", dest="ablate.epochs", type=int)
-    p.set_defaults(fn=cmd_ablate)
+    p.set_defaults(fn=cmd_ablate, needs=["data"])
 
     p = sub.add_parser("verify", help="run the self-check oracles")
     p.add_argument("--perturb-gradient", dest="perturb_gradient", action="store_true",
@@ -427,28 +416,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require(args, cfg_names: list[str]) -> None:
-    for name in cfg_names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name} is required")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.fn in (cmd_train, cmd_ablate) and not getattr(args, "print_config", False):
-            _require(args, ["data"])
-        if args.fn is cmd_eval and not getattr(args, "print_config", False):
-            _require(args, ["ckpt", "data"])
-        return args.fn(args)
+        if args.fn is cmd_verify:
+            return cmd_verify(args)
+        missing = [name for name in args.needs if getattr(args, name) is None]
+        if missing and not args.print_config:
+            raise UsageError(f"--{missing[0]} is required")
+        cfg = resolve_config(args)
+        if args.print_config:
+            print(json.dumps(cfg, sort_keys=True, indent=1))
+            return 0
+        if not args.out:
+            raise UsageError("--out is required")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.fn(args, cfg, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except GasaUNetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (GasaUNetError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,11 +160,19 @@ def _tta_mirror(model: ModelFn, volume: np.ndarray, swc: SlidingWindowConfig, sp
     return (near + far) / len(_FLIP_AXES)
 
 
+def _members(model: ModelFn | Sequence[ModelFn]) -> list[ModelFn]:
+    """One model, or an ensemble's list of them, as a list; an empty list raises ValueError."""
+    models = list(model) if isinstance(model, (list, tuple)) else [model]
+    if not models:
+        raise ValueError("the model list is empty: an ensemble needs at least one model")
+    return models
+
+
 def predict_probs(model: ModelFn | Sequence[ModelFn], volume: np.ndarray, swc: SlidingWindowConfig) -> np.ndarray:
     """Probability map from one model, or the mean over an ensemble of them.
     With mirror TTA in two processes, the worker is registered for every
     member at once, so the members do not restart it in turn."""
-    models = model if isinstance(model, (list, tuple)) else [model]
+    models = _members(model)
     predict = tta_mirror_predict if swc.tta_mirror else sliding_window_predict
     ensemble = swc.tta_mirror and len(models) > 1 and worker.usable()
     total: np.ndarray | None = None
@@ -190,7 +198,8 @@ def evaluate_split(
     Predictions are resampled from the processing grid to each case's
     original spacing and shape before Dice and NSD are computed against the
     untouched labels. A tolerance `tau` that is not >= 0, NaN included,
-    raises InvalidSpacing before any prediction.
+    raises InvalidSpacing, and an empty model list ValueError, before any
+    prediction.
     Every tile rebuilds buffers of the same shapes, so the first call sets
     the process's allocator to keep freed memory (tensor.keep_heap_resident):
     from then on the process's resident memory stays at its peak.
@@ -202,12 +211,13 @@ def evaluate_split(
         raise ValueError("no held-out cases to evaluate")
     if not tau >= 0:   # a NaN tolerance too, before any prediction
         raise InvalidSpacing(f"tolerance must be >= 0, got {tau}")
+    models = _members(model)
     keep_heap_resident()
     cases = []
     for case in data.test:
         rs = case.resampled_shape
         image = case.image[:, : rs[0], : rs[1], : rs[2]]
-        pred = predict_labels(model, image, swc).astype(np.uint16)
+        pred = predict_labels(models, image, swc).astype(np.uint16)
         pred_vol = Volume(pred, spacing=data.spacing, kind="labels")
         native = resample_labels(
             pred_vol, case.native_spacing, data.num_classes, out_shape=case.native_shape

@@ -28,7 +28,6 @@ from .backbone import BackboneConfig, GasaUNet, build_model
 from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
 from .gasa import GasaConfig, dropout_draws
 from .losses import soft_dice_ce_loss
-from .phantom import load_manifest
 from .tensor import Rng, Tensor, keep_heap_resident, precision
 from .volume import NormStats, clip_normalize, compute_norm_stats, read_volume, resample_image, resample_labels, target_spacing
 
@@ -397,11 +396,6 @@ def preprocess_manifest(
     )
 
 
-def prepared_from_manifest_path(path: str | Path, patch_size: tuple[int, int, int]) -> PreparedData:
-    manifest, root = load_manifest(path)
-    return preprocess_manifest(manifest, root, patch_size)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -573,8 +567,10 @@ def train(
     A non-finite batch loss raises NonFiniteLoss, and so does a non-finite
     gradient, naming the first such parameter, both before the optimizer
     step. Resume momentum that does not match the model's parameters by
-    name and shape raises VersionMismatch, and a training case smaller
-    than cfg.patch_size on any axis ShapeMismatch, before the first step.
+    name and shape raises VersionMismatch, a training case smaller than
+    cfg.patch_size on any axis ShapeMismatch, and a resume epoch below 0 or
+    past the stop epoch (stop_epoch capped at cfg.epochs) InvalidEpoch, all
+    before the first step; a stop epoch equal to the resume epoch runs none.
     Every step rebuilds buffers of the same shapes, so the first call sets
     the process's allocator to keep freed memory (tensor.keep_heap_resident):
     from then on the process's resident memory stays at its peak.
@@ -602,18 +598,20 @@ def _train(
         if any(have < want for have, want in zip(case.image.shape[1:], cfg.patch_size)):
             raise ShapeMismatch(f"training case {i} has grid {case.image.shape[1:]}, smaller than the patch "
                                 f"{tuple(cfg.patch_size)}")
+    start_epoch = 0 if resume is None else resume.epoch
+    end_epoch = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
+    if not 0 <= start_epoch <= end_epoch:
+        raise InvalidEpoch(f"cannot run from epoch {start_epoch} to epoch {end_epoch} (stop_epoch {stop_epoch}, "
+                           f"epochs {cfg.epochs}): need 0 <= start <= stop")
     keep_heap_resident()
     named = list(model.named_params())
     if resume is not None:
         _match_params(resume.momentum, named, "resume momentum")
         momentum = {k: v.copy() for k, v in resume.momentum.items()}
         rng = Rng.from_state(resume.rng_state)
-        start_epoch = resume.epoch
     else:
         momentum = {name: np.zeros_like(p.data) for name, p in named}
         rng = Rng(cfg.seed)
-        start_epoch = 0
-    end_epoch = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
 
     epochs = range(start_epoch, end_epoch)
     log_fh = open(log_path, "a") if log_path is not None else None

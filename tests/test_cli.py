@@ -422,3 +422,87 @@ def test_verify_exit_codes(capsys):
         "training_precision", "training_processes", "tta_processes", "conv_blas",
     ]
     assert run(["verify", "--perturb-gradient"]) == 3
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["synth"], "--out"),
+    (["train"], "--data"),
+    (["train", "--data", "d"], "--out"),
+    (["eval"], "--ckpt"),
+    (["eval", "--data", "d"], "--ckpt"),
+    (["eval", "--ckpt", "c"], "--data"),
+    (["eval", "--ckpt", "c", "--data", "d"], "--out"),
+    (["ablate"], "--data"),
+    (["ablate", "--data", "d"], "--out"),
+])
+def test_a_missing_path_exits_1_naming_it_and_print_config_needs_none(tmp_path, capsys, monkeypatch, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {missing} is required\n"
+    # --data and --ckpt are checked before the config file is read, --out after it
+    assert run(argv + ["--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    if missing == "--out":
+        assert err.startswith(f"usage error: cannot read config {bad}: ")
+    else:
+        assert err == f"usage error: {missing} is required\n"
+    assert run(argv + ["--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("flag", [["--config", "run.json"], ["--out", "run"], ["--print-config"]])
+def test_verify_takes_no_config_out_or_print_config(capsys, flag):
+    assert run(["verify"] + flag) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_eval_against_a_dataset_with_another_class_count_exits_2(trained, tmp_path, capsys, classes):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--cases", "2", "--test-cases", "1", "--size", "16",
+                "--classes", str(classes)]) == 0
+    capsys.readouterr()
+    ckpt = trained / "model.ckpt"
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: checkpoint predicts 3 classes, but the dataset {data} has {classes}\n")
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
+def test_ablate_rerun_with_other_settings_exits_1_before_training(dataset, tmp_path, capsys, monkeypatch):
+    from gasaunet import cli
+
+    out = tmp_path / "ablate"
+    cfg_path = tmp_path / "ablate.json"
+    cfg_path.write_text(json.dumps({
+        "ablate": {"grid": [[1, 2]], "pe_modes": ["none", "after"], "epochs": 1, "iters_per_epoch": 1},
+        "train": {"patch": 8},
+    }))
+    argv = ["ablate", "--out", str(out), "--config", str(cfg_path)]
+    assert run(argv + ["--data", str(dataset)]) == 0
+    cell = out / "h1_d2_pe-none.json"
+    stored = cell.read_text()
+    assert json.loads(stored)["result"] == json.loads((out / "ablation.json").read_text())[0]
+
+    def no_training(*args, **kw):
+        raise AssertionError("a cell was trained")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "manifest.json").write_text((dataset / "manifest.json").read_text())
+    for extra, key in [(["--epochs", "3"], "config.ablate.epochs"), (["--seed", "9"], "config.seed"),
+                       (["--data", str(other)], "data")]:
+        capsys.readouterr()
+        assert run(argv + (extra if extra[0] == "--data" else extra + ["--data", str(dataset)])) == 1
+        assert capsys.readouterr().err == (f"usage error: {cell}: cached cell does not record this run's {key}; "
+                                           "delete it or choose another --out\n")
+        assert cell.read_text() == stored
+
+    # a cell file without the record, as earlier versions wrote it, is not reused either
+    cell.write_text(json.dumps(json.loads(stored)["result"]) + "\n")
+    assert run(argv + ["--data", str(dataset)]) == 1
+    assert f"{cell}: cached cell does not record this run's config;" in capsys.readouterr().err

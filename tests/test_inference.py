@@ -271,3 +271,20 @@ def test_float32_inference_agrees_with_the_float64_forward(tmp_path, monkeypatch
             assert (want is None) == (got["dice"][key] is None)
             assert want is None or abs(got["dice"][key] - want) <= 1e-3, (key, want, got["dice"][key])
     assert all(d > 0.5 for case in cases[0] for d in case["dice"].values())  # every class is found
+
+
+@pytest.mark.parametrize("tta", [False, True])
+def test_an_empty_model_list_raises_naming_it(monkeypatch, tta):
+    from gasaunet import inference
+    from test_training import tiny_data
+
+    swc = SlidingWindowConfig(patch_size=(4, 4, 4), tta_mirror=tta)
+    with pytest.raises(ValueError, match="model list is empty"):
+        inference.predict_probs([], np.zeros((1, 6, 6, 6)), swc)
+
+    def no_prediction(*args):
+        raise AssertionError("a case was predicted")
+
+    monkeypatch.setattr(inference, "predict_labels", no_prediction)
+    with pytest.raises(ValueError, match="model list is empty"):
+        inference.evaluate_split([], tiny_data(), swc, 1.0)

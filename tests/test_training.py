@@ -428,6 +428,38 @@ def test_a_training_case_smaller_than_the_patch_stops_before_the_first_step():
         assert np.array_equal(p.data, before[name]), name
 
 
+@pytest.mark.parametrize("resume_epoch, stop_epoch, epochs", [
+    (5, 3, 6),        # stop before the resume epoch
+    (None, -2, 3),    # a negative stop epoch
+    (4, None, 3),     # a resume epoch past cfg.epochs
+    (-1, None, 3),    # a negative resume epoch
+])
+def test_an_epoch_range_that_runs_backwards_raises_before_any_step(monkeypatch, resume_epoch, stop_epoch, epochs):
+    model = tiny_model()
+    named = list(model.named_params())
+    resume = None
+    if resume_epoch is not None:
+        resume = checkpoint_from_model(model, {n: np.zeros_like(p.data) for n, p in named}, resume_epoch, Rng(5))
+    calls = []
+    monkeypatch.setattr(training, "keep_heap_resident", lambda: calls.append("keep_heap_resident"))
+    monkeypatch.setattr(training, "sample_loss", lambda *a: calls.append("sample_loss"))
+    before = {name: p.data.copy() for name, p in named}
+    with pytest.raises(InvalidEpoch, match="need 0 <= start <= stop"):
+        train(model, tiny_data(), tiny_train_cfg(epochs=epochs), resume=resume, stop_epoch=stop_epoch)
+    assert calls == []
+    for name, p in named:
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_a_stop_epoch_equal_to_the_resume_epoch_runs_no_step():
+    model = tiny_model()
+    momentum = {n: np.ones_like(p.data) for n, p in model.named_params()}
+    ckpt, log = train(model, tiny_data(), tiny_train_cfg(epochs=4),
+                      resume=checkpoint_from_model(model, momentum, 2, Rng(5)), stop_epoch=2)
+    assert log == [] and ckpt.epoch == 2 and ckpt.rng_state == Rng(5).state
+    assert all(np.array_equal(ckpt.momentum[n], v) for n, v in momentum.items())
+
+
 def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
     ckpt = _saved_untrained_checkpoint(path)
