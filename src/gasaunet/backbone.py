@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gasa
 from . import tensor as T
-from .errors import InvalidConfig, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch, is_integer
 from .gasa import GasaConfig
 from .tensor import Rng, Tensor
 
@@ -42,6 +42,10 @@ class BackboneConfig:
     def validate(self) -> None:
         if len(self.stage_channels) < 2:
             raise InvalidConfig("need at least two stages")
+        if not all(is_integer(c) and c >= 1 for c in self.stage_channels):
+            raise InvalidConfig(f"stage_channels must be integers >= 1, got {tuple(self.stage_channels)}")
+        if len(self.large_res_blocks) != 2 or not all(is_integer(n) and n >= 0 for n in self.large_res_blocks):
+            raise InvalidConfig(f"large_res_blocks must be two integers >= 0, got {tuple(self.large_res_blocks)}")
         if len(self.downsample_strides) != len(self.stage_channels):
             raise InvalidConfig("one stride triple per stage")
         if any(s != (1, 1, 1) for s in self.downsample_strides[:1]):

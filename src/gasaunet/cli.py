@@ -21,8 +21,8 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .backbone import build_model, count_model_params, make_backbone_config
-from .errors import GasaUNetError, ShapeMismatch, VersionMismatch
+from .backbone import build_model, make_backbone_config
+from .errors import FormatError, GasaUNetError, ShapeMismatch, VersionMismatch
 from .gasa import PE_MODES
 from .inference import SlidingWindowConfig, evaluate_split
 from .metrics import kits_hec
@@ -138,8 +138,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _model_config_from(cfg: dict, patch: tuple[int, int, int], num_classes: int):
-    m = cfg["model"]
+def _model_config_from(m: dict, patch: tuple[int, int, int], num_classes: int):
+    """The model config that the `model` section `m` of a run config asks for, sized for patches `patch`."""
     return make_backbone_config(
         in_channels=1,
         num_classes=num_classes,
@@ -204,9 +204,9 @@ def cmd_train(args, cfg: dict, out: Path) -> int:
     tcfg = _train_config_from(cfg, cfg["train"])
     patch = tcfg.patch_size
     data = preprocess_manifest(*load_manifest(args.data), patch)
-    model_cfg = _model_config_from(cfg, patch, data.num_classes)
+    model_cfg = _model_config_from(cfg["model"], patch, data.num_classes)
     model = build_model(model_cfg, Rng(cfg["seed"]))
-    print(f"training {model_cfg.variant} model, {count_model_params(model_cfg)} parameters, "
+    print(f"training {model_cfg.variant} model, {sum(p.size for _, p in model.named_params())} parameters, "
           f"{tcfg.epochs} epochs x {tcfg.iters_per_epoch} iters")
     log_path = out / "train_log.jsonl"
     log_path.unlink(missing_ok=True)
@@ -288,23 +288,27 @@ def cmd_ablate(args, cfg: dict, out: Path) -> int:
     cached = {}
     for cell_path, *_ in cells:
         if cell_path.exists():
-            stored = json.loads(cell_path.read_text())
+            try:
+                stored = json.loads(cell_path.read_text())
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise FormatError(f"{cell_path}: cached cell is not valid JSON ({exc})") from exc
             key = _first_difference(made_with, stored if isinstance(stored, dict) else {}, "")
             if key is not None:
                 raise UsageError(f"{cell_path}: cached cell does not record this run's {key}; "
                                  "delete it or choose another --out")
             cached[cell_path] = stored["result"]
-    data = preprocess_manifest(*load_manifest(args.data), patch)
+    manifest, root = load_manifest(args.data)
+    # every cell's model is configured before the first trains, so a bad cell stops the sweep before any training
+    model_cfgs = [_model_config_from({**cfg["model"], "heads": heads, "dmodel": dmodel, "pe": pe}, patch,
+                                     manifest["spec"]["num_classes"]) for _, heads, dmodel, pe in cells]
+    data = preprocess_manifest(manifest, root, patch)
 
     results = []
-    for cell_path, heads, dmodel, pe in cells:
+    for (cell_path, heads, dmodel, pe), model_cfg in zip(cells, model_cfgs):
         if cell_path in cached:
             results.append(cached[cell_path])
             print(f"{cell_path.stem}: cached")
             continue
-        run_cfg = copy.deepcopy(cfg)
-        run_cfg["model"].update(heads=heads, dmodel=dmodel, pe=pe)
-        model_cfg = _model_config_from(run_cfg, patch, data.num_classes)
         model = build_model(model_cfg, Rng(cfg["seed"]))
         train(model, data, tcfg)
         swc = SlidingWindowConfig(patch_size=patch)
@@ -314,7 +318,7 @@ def cmd_ablate(args, cfg: dict, out: Path) -> int:
             "dmodel": dmodel,
             "pe": pe,
             "dice": None if res["report"].mean_dice is None else 100.0 * res["report"].mean_dice,
-            "params": count_model_params(model_cfg),
+            "params": sum(p.size for _, p in model.named_params()),
         }
         cell_path.write_text(json.dumps({**made_with, "result": entry}, sort_keys=True) + "\n")
         results.append(entry)

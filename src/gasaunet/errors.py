@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test that config validation shares."""
+
+import numpy as np
+
+
+def is_integer(n) -> bool:
+    """An int or NumPy integer, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 class GasaUNetError(Exception):
@@ -42,8 +49,8 @@ class InvalidEpoch(GasaUNetError):
 
 
 class FormatError(GasaUNetError):
-    """On-disk volume or dataset manifest is malformed (bad magic, truncated
-    payload, bad header or field)."""
+    """An on-disk file (a volume, a dataset manifest, a cached ablation cell)
+    is malformed: bad magic, truncated payload, bad header or field, not JSON."""
 
 
 class VersionMismatch(GasaUNetError):

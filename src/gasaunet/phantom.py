@@ -10,6 +10,7 @@ regeneration is bitwise reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,6 +42,10 @@ class PhantomSpec:
             raise InvalidSpec("class_means must have one entry per class")
         if self.class_sigmas is not None and len(self.class_sigmas) != self.num_classes:
             raise InvalidSpec("class_sigmas must have one entry per class")
+        if not all(math.isfinite(s) and s >= 0 for s in (self.noise_sigma, *(self.class_sigmas or ()))):
+            raise InvalidSpec(f"noise_sigma {self.noise_sigma} and class_sigmas {self.class_sigmas} must be finite, >= 0")
+        if not all(math.isfinite(m) for m in self.class_means or ()):
+            raise InvalidSpec(f"class_means must be finite, got {self.class_means}")
 
     def means(self) -> np.ndarray:
         if self.class_means is not None:

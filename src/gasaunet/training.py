@@ -17,7 +17,7 @@ import re
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from . import worker
 from .backbone import BackboneConfig, GasaUNet, build_model
-from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch
+from .errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, VersionMismatch, is_integer
 from .gasa import GasaConfig, dropout_draws
 from .losses import soft_dice_ce_loss
 from .tensor import Rng, Tensor, keep_heap_resident, precision
@@ -49,9 +49,8 @@ class TrainConfig:
     poly_exponent: float = 0.9
 
     def validate(self) -> None:
-        whole = lambda n: isinstance(n, (int, np.integer)) and not isinstance(n, bool)  # noqa: E731
         for name in ("epochs", "iters_per_epoch", "batch", "seed"):
-            if not whole(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.lr0 < math.inf or not 0 <= self.momentum < 1 or self.epochs < 1:
             raise InvalidConfig("need finite lr0 > 0, 0 <= momentum < 1, epochs >= 1")
@@ -59,7 +58,7 @@ class TrainConfig:
             raise InvalidConfig(f"poly_exponent must be finite, got {self.poly_exponent}")
         if self.batch < 1 or self.iters_per_epoch < 1:
             raise InvalidConfig(f"need batch >= 1 and iters_per_epoch >= 1, got {self.batch}, {self.iters_per_epoch}")
-        if len(self.patch_size) != 3 or not all(whole(n) and n >= 1 for n in self.patch_size):
+        if len(self.patch_size) != 3 or not all(is_integer(n) and n >= 1 for n in self.patch_size):
             raise InvalidConfig(f"patch_size must hold 3 integer extents >= 1, got {tuple(self.patch_size)}")
 
 
@@ -103,25 +102,15 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
 
-def _backbone_from_dict(d: dict) -> BackboneConfig:
-    gasa = d.get("gasa")
-    cfg = BackboneConfig(
-        in_channels=d["in_channels"],
-        num_classes=d["num_classes"],
-        stage_channels=tuple(d["stage_channels"]),
-        downsample_strides=tuple(tuple(s) for s in d["downsample_strides"]),
-        gasa=GasaConfig(
-            in_channels=gasa["in_channels"],
-            spatial=tuple(gasa["spatial"]),
-            d_model=gasa["d_model"],
-            heads=gasa["heads"],
-            pe_mode=gasa["pe_mode"],
-            use_layer_norm=gasa["use_layer_norm"],
-            dropout_p=gasa["dropout_p"],
-        ) if gasa is not None else None,
-        variant=d["variant"],
-        large_res_blocks=tuple(d["large_res_blocks"]),
-    )
+def _backbone_from_header(table: dict) -> BackboneConfig:
+    """The config that `asdict` wrote as `table`: each field of BackboneConfig,
+    and of GasaConfig for a `gasa` entry that is not null, read by name, JSON
+    lists turned back into tuples, nested ones too; other keys are ignored."""
+    tuples = lambda v: tuple(map(tuples, v)) if isinstance(v, list) else v  # noqa: E731
+    read = lambda cls, t: cls(**{f.name: tuples(t[f.name]) for f in fields(cls)})  # noqa: E731
+    cfg = read(BackboneConfig, table)
+    if cfg.gasa is not None:
+        cfg.gasa = read(GasaConfig, cfg.gasa)
     cfg.validate()
     return cfg
 
@@ -254,7 +243,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if len(rng_state) != 2:
         raise VersionMismatch(f"{path}: checkpoint header field 'rng' must hold (seed, counter)")
     try:
-        backbone = _backbone_from_dict(_header_field(path, header, "backbone", dict))
+        backbone = _backbone_from_header(_header_field(path, header, "backbone", dict))
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise VersionMismatch(f"{path}: checkpoint header field 'backbone' is malformed ({exc!r})") from exc
     return Checkpoint(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from pathlib import Path
@@ -127,6 +128,26 @@ def test_config_validation():
     cfg.gasa.in_channels = 99
     with pytest.raises(InvalidConfig):
         cfg.validate()
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"stage_channels": (8, 16, 0)}, "stage_channels"),
+    ({"stage_channels": (-4, 16, 32)}, "stage_channels"),
+    ({"stage_channels": (8, True, 32)}, "stage_channels"),
+    ({"stage_channels": (8, 16.0, 32)}, "stage_channels"),
+    ({"large_res_blocks": (3,)}, "large_res_blocks"),
+    ({"large_res_blocks": (3, -1)}, "large_res_blocks"),
+    ({"large_res_blocks": (2.5, 5)}, "large_res_blocks"),
+])
+def test_config_rejects_a_stage_width_below_1_or_a_bad_res_block_count(changes, key):
+    cfg = dataclasses.replace(make_backbone_config(1, 3, (16,) * 3, gasa_enabled=False), **changes)
+    with pytest.raises(InvalidConfig, match=key):
+        cfg.validate()
+    with pytest.raises(InvalidConfig, match=key):
+        build_model(cfg, Rng(0))
+    if "stage_channels" in changes:
+        with pytest.raises(InvalidConfig, match=key):
+            make_backbone_config(1, 3, (16,) * 3, stage_channels=changes["stage_channels"], gasa_enabled=False)
 
 
 def test_tiny_model_gradient_check():

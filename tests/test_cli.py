@@ -506,3 +506,84 @@ def test_ablate_rerun_with_other_settings_exits_1_before_training(dataset, tmp_p
     cell.write_text(json.dumps(json.loads(stored)["result"]) + "\n")
     assert run(argv + ["--data", str(dataset)]) == 1
     assert f"{cell}: cached cell does not record this run's config;" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths", [[0, 16, 32], [-4, 16, 32]])
+def test_train_with_a_stage_width_below_1_exits_2(dataset, tmp_path, capsys, widths):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"model": {"stage_channels": widths}}))
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg_path), "--data", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: stage_channels must be integers >= 1, got {tuple(widths)}\n"
+    assert not list(out.iterdir())
+
+
+def test_synth_with_a_negative_noise_exits_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run(["synth", "--out", str(out), "--size", "16", "--cases", "2", "--test-cases", "1", "--noise", "-1"]) == 2
+    assert "noise_sigma -1.0" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def _no_training(*args, **kw):
+    raise AssertionError("a cell was trained")
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"grid": [[2, 10], [3, 10]]}, "d_model 10 must be a positive multiple of heads 3"),
+    ({"grid": [[2, 10]], "pe_modes": ["none", "sideways"]}, "pe_mode must be one of"),
+])
+def test_ablate_with_a_bad_cell_exits_2_before_any_training(dataset, tmp_path, capsys, monkeypatch, sweep, message):
+    from gasaunet import cli
+
+    monkeypatch.setattr(cli, "train", _no_training)
+    cfg_path = tmp_path / "ablate.json"
+    cfg_path.write_text(json.dumps({"ablate": {**sweep, "epochs": 1, "iters_per_epoch": 1}, "train": {"patch": 8}}))
+    out = tmp_path / "ablate"
+    assert run(["ablate", "--data", str(dataset), "--out", str(out), "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_ablate_cached_cell_that_is_not_json_exits_2_naming_it(dataset, tmp_path, capsys, monkeypatch):
+    from gasaunet import cli
+
+    monkeypatch.setattr(cli, "train", _no_training)
+    cfg_path = tmp_path / "ablate.json"
+    cfg_path.write_text(json.dumps({"ablate": {"grid": [[1, 2]], "pe_modes": ["none"]}, "train": {"patch": 8}}))
+    out = tmp_path / "ablate"
+    out.mkdir()
+    cell = out / "h1_d2_pe-none.json"
+    argv = ["ablate", "--data", str(dataset), "--out", str(out), "--config", str(cfg_path)]
+    cell.write_text("not json")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cell}: cached cell is not valid JSON (")
+    cell.write_text("[]")   # JSON, but no record of the run
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {cell}: cached cell does not record this run's config")
+
+
+def test_train_and_each_ablate_cell_build_one_model(dataset, tmp_path, monkeypatch):
+    from gasaunet import backbone, cli
+
+    built = []
+
+    def counted(build):
+        def build_and_count(*args, **kw):
+            built.append(args[0])
+            return build(*args, **kw)
+        return build_and_count
+
+    monkeypatch.setattr(backbone, "build_model", counted(backbone.build_model))
+    monkeypatch.setattr(cli, "build_model", counted(cli.build_model))
+    assert run(["train", "--data", str(dataset), "--out", str(tmp_path / "run"), "--epochs", "1", "--iters", "1",
+                "--patch", "8", "--dmodel", "4", "--heads", "2"]) == 0
+    assert len(built) == 1
+    cfg_path = tmp_path / "ablate.json"
+    cfg_path.write_text(json.dumps({
+        "ablate": {"grid": [[1, 2]], "pe_modes": ["none", "after"], "epochs": 1, "iters_per_epoch": 1},
+        "train": {"patch": 8},
+    }))
+    assert run(["ablate", "--data", str(dataset), "--out", str(tmp_path / "ablate"), "--config", str(cfg_path)]) == 0
+    assert [cfg.gasa.pe_mode for cfg in built[1:]] == ["none", "after"]

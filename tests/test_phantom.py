@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,24 @@ def test_invalid_specs():
         generate_phantom(PhantomSpec(num_classes=1), 0)
     with pytest.raises(InvalidSpec):
         generate_phantom(PhantomSpec(class_means=(0.0, 1.0)), 0)
+
+
+@pytest.mark.parametrize("changes", [
+    {"noise_sigma": math.nan},
+    {"noise_sigma": -1.0},
+    {"noise_sigma": math.inf},
+    {"class_sigmas": (0.1, -0.1, 0.1)},
+    {"class_sigmas": (0.1, math.nan, 0.1)},
+    {"class_means": (0.0, math.inf, 2.0)},
+    {"class_means": (0.0, math.nan, 2.0)},
+])
+def test_a_non_finite_or_negative_noise_level_or_mean_is_rejected(tmp_path, changes):
+    spec = PhantomSpec(size=(16, 16, 16), **changes)
+    with pytest.raises(InvalidSpec):
+        generate_phantom(spec, 0)
+    with pytest.raises(InvalidSpec):
+        make_dataset(spec, 2, tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_make_dataset_manifest(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import mmap
 import os
@@ -12,9 +13,10 @@ import zlib
 import numpy as np
 import pytest
 
-from gasaunet.backbone import make_backbone_config, build_model
+from gasaunet.backbone import BackboneConfig, make_backbone_config, build_model
 from gasaunet import tensor as T
 from gasaunet import training, worker
+from gasaunet.gasa import GasaConfig
 from gasaunet.errors import InvalidConfig, InvalidEpoch, NonFiniteLoss, ShapeMismatch, WorkerError, VersionMismatch
 from gasaunet.losses import soft_dice_ce_loss
 from gasaunet.tensor import Rng, Tensor
@@ -303,6 +305,34 @@ def test_malformed_checkpoint_header_names_file_and_field(tmp_path, edit, field)
     _rewrite_header(path, edit)
     with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*'{field}'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("table, key", [("backbone", f.name) for f in dataclasses.fields(BackboneConfig)]
+                         + [("gasa", f.name) for f in dataclasses.fields(GasaConfig)])
+def test_checkpoint_header_without_a_model_config_field_names_backbone(tmp_path, table, key):
+    path = tmp_path / "model.ckpt"
+    _saved_untrained_checkpoint(path)
+
+    def edit(header):
+        backbone = header["backbone"]
+        del (backbone if table == "backbone" else backbone["gasa"])[key]
+        return header
+
+    _rewrite_header(path, edit)
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}: checkpoint header field 'backbone' is malformed"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_round_trips_a_model_config_unlike_the_defaults(tmp_path):
+    cfg = make_backbone_config(1, 2, (8, 8, 8), stage_channels=(2, 4), variant="large", d_model=2, heads=2,
+                               pe_mode="before", use_layer_norm=True, dropout_p=0.25)
+    cfg.large_res_blocks = (1, 2)
+    for obj in (cfg, cfg.gasa):
+        for f in dataclasses.fields(obj):
+            assert f.default is dataclasses.MISSING or getattr(obj, f.name) != f.default, f.name
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(cfg, Rng(0)), {}, 0, Rng(0)), path)
+    assert load_checkpoint(path).backbone == cfg
 
 
 def test_checkpoint_shape_whose_size_overflows_int64_names_file_and_tensor(tmp_path):
